@@ -7,16 +7,7 @@ core); --scale shrinks everything proportionally for a quick look.
 import argparse
 import sys
 
-from discoh import (
-    class3_extrema_campaign,
-    class3_sum_rule_campaign,
-    classical_zero_campaign,
-    discord_closed_form_campaign,
-    mixed_state_bound_campaign,
-    monogamy_campaign,
-    pure_state_discord_campaign,
-    two_side_sandwich_campaign,
-)
+from discoh.verify import SUITES, run_suite
 
 
 def main() -> int:
@@ -25,22 +16,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    def n(base):
-        return max(2, int(base * args.scale))
-
-    runs = [
-        lambda: monogamy_campaign(trials=n(1000), seed=args.seed),
-        lambda: class3_sum_rule_campaign(trials=n(500), seed=args.seed),
-        lambda: classical_zero_campaign(trials=n(100), seed=args.seed),
-        lambda: discord_closed_form_campaign(trials=n(200), seed=args.seed),
-        lambda: mixed_state_bound_campaign(trials=n(200), seed=args.seed),
-        lambda: two_side_sandwich_campaign(trials=n(100), seed=args.seed),
-        lambda: pure_state_discord_campaign(trials=n(100), seed=args.seed),
-        lambda: class3_extrema_campaign(trials=n(200), seed=args.seed),
-    ]
     all_passed = True
-    for run in runs:
-        result = run()
+    for name, suite in SUITES.items():
+        result = run_suite(name, max(2, int(suite.trials * args.scale)), seed=args.seed)
         print(result.summary(), flush=True)
         all_passed = all_passed and result.passed
     return 0 if all_passed else 3

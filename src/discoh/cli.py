@@ -7,17 +7,15 @@ deterministic for identical arguments.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .coherence import OptimizerConfig, minimize_over_bases
-from .discord import discord_ab_analytic, discord_ba_analytic
-from .errors import DiscohError, MixedStateError, UnsupportedDimensionError
-from .linalg import hermitian_eigen
-from .nonlocality import chsh_violation, v_measures_analytic, v_measures_numeric
+from .coherence import OptimizerConfig
+from .errors import DiscohError, UnsupportedDimensionError
+from .measures import MEASURES, METHODS, evaluate
 from .states import (
-    DensityMatrix,
     PureState,
     load_state,
     make_bell,
@@ -26,37 +24,14 @@ from .states import (
     random_pure,
     save_state,
 )
-from .entanglement import concurrence_mixed_2q, concurrence_pure, monogamy_check
-from .verify import (
-    MONOGAMY_DIMS,
-    PURE_DISCORD_DIMS,
-    class3_extrema_campaign,
-    class3_sum_rule_campaign,
-    discord_closed_form_campaign,
-    mixed_state_bound_campaign,
-    monogamy_campaign,
-    pure_state_discord_campaign,
-    werner_sweep,
-)
+from .verify import SUITES, run_suite, werner_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
-MEASURES = ("d_ab", "d_ba", "d_sym", "d_tilde", "v", "v_tilde", "chsh", "concurrence", "monogamy")
 SWEEP_COLUMNS = ("p", "d_ab", "d_ba", "d_sym", "v", "v_tilde", "horodecki_m", "chsh_violated")
-
-SUITE_DEFAULTS = {
-    "monogamy": (1000, 1e-10),
-    "analytic-vs-numeric": (200, 1e-6),
-    "corollary2": (100, 1e-6),
-    "theorem5": (200, 1e-6),
-    "eq64": (500, 1e-10),
-    "corollary1": (200, 1e-9),
-}
-
-PURITY_PURE_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +67,20 @@ def _parse_dims_or_all(text: str):
     return _parse_dims(text)
 
 
+def _trial_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"trials must be at least 1, got {count}")
+    return count
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_measures(text: str) -> list[str]:
     if text == "all":
         return ["all"]
@@ -122,136 +111,6 @@ def _optimizer_config(args) -> OptimizerConfig:
     )
 
 
-def _dominant_pure(rho: DensityMatrix) -> PureState:
-    purity = rho.purity()
-    if purity < 1.0 - PURITY_PURE_TOL:
-        raise MixedStateError(f"purity = {purity:.6f}; this measure needs a pure state")
-    _, vectors = hermitian_eigen(rho.mat)
-    amp = vectors[:, 0]
-    k = int(np.argmax(np.abs(amp)))
-    amp = amp / (amp[k] / abs(amp[k]))
-    amp = amp / np.linalg.norm(amp)
-    return PureState(rho.dims, amp)
-
-
-def _record(measure, value, method, converged=None, detail=None):
-    return {
-        "measure": measure,
-        "value": None if value is None else float(value),
-        "method": method,
-        "converged": converged,
-        "detail": detail or {},
-    }
-
-
-def _analyze_records(rho: DensityMatrix, measures: list[str], method: str, cfg: OptimizerConfig):
-    two_qubit = rho.dims == (2, 2)
-    pure_enough = rho.purity() >= 1.0 - PURITY_PURE_TOL
-
-    if measures == ["all"]:
-        measures = [m for m in MEASURES if m not in ("concurrence", "monogamy")]
-        if pure_enough or two_qubit:
-            measures.append("concurrence")
-        if pure_enough:
-            measures.append("monogamy")
-
-    if method == "auto":
-        paths = ["analytic"] if two_qubit else ["numeric"]
-    elif method == "both":
-        paths = ["analytic", "numeric"]
-    else:
-        paths = [method]
-
-    optimizer_measures = {"d_ab", "d_ba", "d_sym", "d_tilde", "v", "v_tilde"}
-    if "analytic" in paths and not two_qubit:
-        blocked = [m for m in measures if m in optimizer_measures]
-        if blocked:
-            raise UnsupportedDimensionError(
-                f"analytic method needs dims (2, 2) for {', '.join(blocked)}; this state is "
-                f"{rho.dims[0]}x{rho.dims[1]}"
-            )
-    if method == "analytic" and "d_tilde" in measures:
-        raise UnsupportedDimensionError(
-            "d_tilde has no analytic path; use --method numeric, both or auto"
-        )
-
-    exploratory = {} if two_qubit else {"note": "exploratory"}
-    records = []
-    for measure in measures:
-        if measure in ("d_ab", "d_ba"):
-            for path in paths:
-                if path == "analytic":
-                    fn = discord_ab_analytic if measure == "d_ab" else discord_ba_analytic
-                    value, direction = fn(rho)
-                    records.append(
-                        _record(measure, value, path, detail={"direction": direction.p.tolist()})
-                    )
-                else:
-                    objective = "class1" if measure == "d_ab" else "class2"
-                    opt = minimize_over_bases(rho, objective, cfg)
-                    records.append(_record(measure, opt.value, path, opt.converged, dict(exploratory)))
-        elif measure == "d_sym":
-            for path in paths:
-                if path == "analytic":
-                    value = discord_ab_analytic(rho)[0] + discord_ba_analytic(rho)[0]
-                    records.append(_record(measure, value, path))
-                else:
-                    opt_a = minimize_over_bases(rho, "class1", cfg)
-                    opt_b = minimize_over_bases(rho, "class2", cfg)
-                    records.append(
-                        _record(
-                            measure,
-                            opt_a.value + opt_b.value,
-                            path,
-                            opt_a.converged and opt_b.converged,
-                            dict(exploratory),
-                        )
-                    )
-        elif measure == "d_tilde":
-            opt = minimize_over_bases(rho, "tilde_total", cfg)
-            records.append(_record(measure, opt.value, "numeric", opt.converged, dict(exploratory)))
-        elif measure in ("v", "v_tilde"):
-            for path in paths:
-                if path == "analytic":
-                    v, vt = v_measures_analytic(rho)
-                    records.append(_record(measure, v if measure == "v" else vt, path))
-                else:
-                    low, high = v_measures_numeric(rho, cfg)
-                    opt = low if measure == "v" else high
-                    records.append(_record(measure, opt.value, path, opt.converged, dict(exploratory)))
-        elif measure == "chsh":
-            if not two_qubit:
-                raise UnsupportedDimensionError(f"chsh needs dims (2, 2), got {rho.dims}")
-            violated, m = chsh_violation(rho)
-            records.append(_record(measure, m, "analytic", detail={"violated": violated}))
-        elif measure == "concurrence":
-            if pure_enough:
-                value = concurrence_pure(_dominant_pure(rho))
-            elif two_qubit:
-                value = concurrence_mixed_2q(rho)
-            else:
-                raise UnsupportedDimensionError(
-                    f"concurrence for mixed states needs dims (2, 2), got {rho.dims}"
-                )
-            records.append(_record(measure, value, "analytic"))
-        elif measure == "monogamy":
-            report = monogamy_check(_dominant_pure(rho))
-            records.append(
-                _record(
-                    measure,
-                    report.residual,
-                    "analytic",
-                    detail={
-                        "c_squared": report.c_squared,
-                        "d_total": report.d_total,
-                        "d_local_a": report.d_local_a,
-                        "d_local_b": report.d_local_b,
-                    },
-                )
-            )
-    return records
-
-
 def _detail_text(detail: dict) -> str:
     parts = []
     for key, value in detail.items():
@@ -275,18 +134,15 @@ def _render_records(records, fmt: str, dims) -> str:
         lines = ["measure,value,method,converged,detail"]
         for rec in records:
             conv = "" if rec["converged"] is None else _fmt_bool(rec["converged"])
-            value = "" if rec["value"] is None else _fmt(rec["value"])
-            lines.append(
-                f"{rec['measure']},{value},{rec['method']},{conv},{_detail_text(rec['detail'])}"
-            )
+            cells = (rec["measure"], _fmt(rec["value"]), rec["method"], conv)
+            lines.append(",".join((*cells, _detail_text(rec["detail"]))))
         return "\n".join(lines) + "\n"
     header = f"{'measure':<12} {'value':>18} {'method':<9} {'conv':<5} detail"
     lines = [header, "-" * len(header)]
     for rec in records:
         conv = "-" if rec["converged"] is None else ("yes" if rec["converged"] else "NO")
-        value = "" if rec["value"] is None else _fmt(rec["value"])
         lines.append(
-            f"{rec['measure']:<12} {value:>18} {rec['method']:<9} {conv:<5} "
+            f"{rec['measure']:<12} {_fmt(rec['value']):>18} {rec['method']:<9} {conv:<5} "
             f"{_detail_text(rec['detail'])}"
         )
     return "\n".join(lines) + "\n"
@@ -303,7 +159,7 @@ def _emit(text: str, path) -> None:
 def cmd_analyze(args) -> int:
     rho = load_state(args.state)
     cfg = _optimizer_config(args)
-    records = _analyze_records(rho, args.measures, args.method, cfg)
+    records = evaluate(rho, args.measures, args.method, cfg)
     _emit(_render_records(records, args.format, rho.dims), args.output)
     return EXIT_OK
 
@@ -324,27 +180,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    trials, tol = SUITE_DEFAULTS[args.suite]
-    if args.trials is not None:
-        trials = args.trials
-    if args.tol is not None:
-        tol = args.tol
-    cfg = _optimizer_config(args)
-    kw = {"trials": trials, "seed": args.seed, "tol": tol, "workers": args.workers}
-    if args.suite == "monogamy":
-        dims = MONOGAMY_DIMS if args.dims in (None, "all") else (args.dims,)
-        result = monogamy_campaign(dims=dims, **kw)
-    elif args.suite == "analytic-vs-numeric":
-        result = discord_closed_form_campaign(config=cfg, **kw)
-    elif args.suite == "corollary2":
-        dims = PURE_DISCORD_DIMS if args.dims in (None, "all") else (args.dims,)
-        result = pure_state_discord_campaign(dims=dims, config=cfg, **kw)
-    elif args.suite == "theorem5":
-        result = class3_extrema_campaign(config=cfg, **kw)
-    elif args.suite == "eq64":
-        result = class3_sum_rule_campaign(**kw)
-    else:
-        result = mixed_state_bound_campaign(samples=args.samples, **kw)
+    takes = SUITES[args.suite].options
+    for option in ("dims", "samples"):
+        if getattr(args, option) is not None and option not in takes:
+            args.usage_error(f"suite {args.suite} takes no --{option}")
+    given = {
+        "dims": None if args.dims in (None, "all") else (args.dims,),
+        "samples": args.samples,
+        "config": _optimizer_config(args),
+    }
+    options = {key: value for key, value in given.items() if key in takes}
+    result = run_suite(args.suite, args.trials, args.tol, args.seed, args.workers, **options)
     print(result.summary())
     return EXIT_OK if result.passed else EXIT_VERIFY_FAILED
 
@@ -398,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="measures of one state file")
     p_an.add_argument("state", help="input state JSON (dims plus re/im blocks)")
     p_an.add_argument("--measures", type=_parse_measures, default=["all"])
-    p_an.add_argument(
-        "--method", choices=("auto", "analytic", "numeric", "both"), default="auto"
-    )
+    p_an.add_argument("--method", choices=METHODS, default="auto")
     p_an.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_an.add_argument("--output", "-o", default=None)
     p_an.add_argument("--seed", type=int, default=0)
@@ -413,19 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--hi", type=float, default=1.0)
     p_sw.add_argument("--steps", type=int, default=101)
     p_sw.add_argument("--output", "-o", default=None)
-    p_sw.add_argument("--seed", type=int, default=0)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_ve = sub.add_parser("verify", help="randomized verification campaigns")
-    p_ve.add_argument("suite", choices=tuple(SUITE_DEFAULTS))
-    p_ve.add_argument("--trials", type=int, default=None)
-    p_ve.add_argument("--dims", type=_parse_dims_or_all, default=None)
-    p_ve.add_argument("--samples", type=int, default=64, help="decompositions per trial")
+    p_ve.add_argument("suite", choices=tuple(SUITES))
+    p_ve.add_argument("--trials", type=_trial_count, default=None)
+    p_ve.add_argument("--dims", type=_parse_dims_or_all, default=None, help="monogamy, corollary2")
+    p_ve.add_argument(
+        "--samples", type=int, default=None, help="decompositions per trial (corollary1)"
+    )
     p_ve.add_argument("--seed", type=int, default=0)
-    p_ve.add_argument("--tol", type=float, default=None)
+    p_ve.add_argument("--tol", type=_finite_float, default=None)
     p_ve.add_argument("--workers", type=int, default=1)
     _add_optimizer_flags(p_ve)
-    p_ve.set_defaults(func=cmd_verify)
+    p_ve.set_defaults(func=cmd_verify, usage_error=p_ve.error)
 
     p_ge = sub.add_parser("generate", help="write a state file")
     p_ge.add_argument(
@@ -445,10 +290,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse and usage_error exit this way
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except DiscohError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

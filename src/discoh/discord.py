@@ -9,14 +9,14 @@ where lmax is the largest eigenvalue.  The symmetric measure is their sum
 (the two minimizations decouple).  The two-sided measure, minimizing the
 single-count off-diagonal sum over product bases, has no closed form and is
 always computed by the basis search; it is bracketed by
-max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba, which is asserted.
+max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba, which DiscordReport asserts.
+The numeric routes and discord_report live in measures.py.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import BasisOptimum, OptimizerConfig, minimize_over_bases
 from .errors import ConsistencyError, DiscohError, NormalizationError, UnsupportedDimensionError
 from .states import DensityMatrix, bloch_decompose
 
@@ -102,65 +102,3 @@ def discord_ba_analytic(rho: DensityMatrix) -> tuple[float, MeasurementDirection
     _require_two_qubits(rho, "d_ba")
     rep = bloch_decompose(rho)
     return _closed_form(rep.y, rep.T.T)
-
-
-def discord_ab_numeric(rho: DensityMatrix, config: OptimizerConfig | None = None) -> BasisOptimum:
-    return minimize_over_bases(rho, "class1", config)
-
-
-def discord_ba_numeric(rho: DensityMatrix, config: OptimizerConfig | None = None) -> BasisOptimum:
-    return minimize_over_bases(rho, "class2", config)
-
-
-def discord_symmetric(
-    rho: DensityMatrix, method: str = ANALYTIC, config: OptimizerConfig | None = None
-) -> float:
-    """Sum of the two one-sided measures; the minimizations are independent."""
-    if method == ANALYTIC:
-        return discord_ab_analytic(rho)[0] + discord_ba_analytic(rho)[0]
-    if method == NUMERIC:
-        return discord_ab_numeric(rho, config).value + discord_ba_numeric(rho, config).value
-    raise DiscohError(f"method must be analytic or numeric, got {method!r}")
-
-
-def discord_two_side(rho: DensityMatrix, config: OptimizerConfig | None = None) -> BasisOptimum:
-    """Minimized single-count off-diagonal sum; search only, no closed form."""
-    return minimize_over_bases(rho, "tilde_total", config)
-
-
-def discord_report(
-    rho: DensityMatrix,
-    method: str = "auto",
-    config: OptimizerConfig | None = None,
-    include_two_side: bool = True,
-) -> DiscordReport:
-    """Full set of discord measures with the bracket check applied."""
-    if method == "auto":
-        method = ANALYTIC if rho.dims == (2, 2) else NUMERIC
-    diagnostics: dict = {}
-    if method == ANALYTIC:
-        d_ab, dir_a = discord_ab_analytic(rho)
-        d_ba, dir_b = discord_ba_analytic(rho)
-        diagnostics["direction_a"] = dir_a.p
-        diagnostics["direction_b"] = dir_b.p
-    elif method == NUMERIC:
-        opt_a = discord_ab_numeric(rho, config)
-        opt_b = discord_ba_numeric(rho, config)
-        d_ab, d_ba = opt_a.value, opt_b.value
-        diagnostics["converged_a"] = opt_a.converged
-        diagnostics["converged_b"] = opt_b.converged
-    else:
-        raise DiscohError(f"method must be auto, analytic or numeric, got {method!r}")
-    d_tilde = None
-    if include_two_side:
-        opt_t = discord_two_side(rho, config)
-        d_tilde = opt_t.value
-        diagnostics["converged_two_side"] = opt_t.converged
-    return DiscordReport(
-        d_ab=d_ab,
-        d_ba=d_ba,
-        d_sym=d_ab + d_ba,
-        d_tilde=d_tilde,
-        method=method,
-        diagnostics=diagnostics,
-    )

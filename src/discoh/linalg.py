@@ -23,15 +23,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; composite ordering matches |ij> = i*n + j."""
     return np.kron(np.asarray(a), np.asarray(b))

@@ -88,11 +88,6 @@ class DensityMatrix:
         return partial_trace(self.mat, self.dims, keep)
 
 
-def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
-    """Construct a DensityMatrix, raising a named error on any violation."""
-    return DensityMatrix(tuple(dims), mat)
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of an m x n bipartite system."""

@@ -7,9 +7,11 @@ process pool gives the same result as running serially.
 """
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from time import perf_counter
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +35,9 @@ class CampaignResult:
     max_deviation: float
     tol: float
     seconds: float
+    worst_trial: int  # index of the trial that gave max_deviation
+    worst_seed: int = 0  # its seed: rerun it alone with trials=1, seed=worst_seed
+    worst_dims: tuple | None = None  # its dims, for suites that cycle through dims
 
     @property
     def passed(self) -> bool:
@@ -40,9 +45,11 @@ class CampaignResult:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        dims = "" if self.worst_dims is None else " worst_dims=%dx%d" % self.worst_dims
         return (
             f"suite={self.suite} trials={self.trials} failures={self.failures} "
-            f"max_deviation={self.max_deviation:.3e} tol={self.tol:g} "
+            f"max_deviation={self.max_deviation:.3e} worst_trial={self.worst_trial} "
+            f"worst_seed={self.worst_seed}{dims} tol={self.tol:g} "
             f"time={self.seconds:.1f}s : {status}"
         )
 
@@ -58,26 +65,19 @@ def _run(suite: str, trial_fn, trials: int, tol: float, workers: int) -> Campaig
     start = perf_counter()
     devs = np.asarray(_map_trials(trial_fn, trials, workers), dtype=float)
     failures = int(np.sum(~(devs <= tol)))  # NaN counts as failure
-    worst = float(np.max(devs)) if devs.size else 0.0
-    return CampaignResult(suite, trials, failures, worst, tol, perf_counter() - start)
+    worst = int(np.argmax(devs))  # a NaN trial is the worst
+    return CampaignResult(
+        suite, trials, failures, float(np.max(devs)), tol, perf_counter() - start, worst
+    )
 
 
-def _monogamy_trial(i: int, seed: int, dims_cycle) -> float:
-    dims = dims_cycle[i % len(dims_cycle)]
-    psi = random_pure(dims, seed + i)
+# Trial i of every suite draws its state from seed + i; suites that take
+# dims cycle through them by trial index.
+
+
+def _monogamy_trial(i: int, seed: int, dims) -> float:
+    psi = random_pure(dims[i % len(dims)], seed + i)
     return abs(monogamy_check(psi, check=False).residual)
-
-
-def monogamy_campaign(
-    trials: int = 1000,
-    dims=MONOGAMY_DIMS,
-    seed: int = 0,
-    tol: float = 1e-10,
-    workers: int = 1,
-) -> CampaignResult:
-    """Pure-state balance c^2 = d_total - d_local_a - d_local_b across dims."""
-    trial = functools.partial(_monogamy_trial, seed=seed, dims_cycle=tuple(dims))
-    return _run("monogamy", trial, trials, tol, workers)
 
 
 def _closed_form_trial(i: int, seed: int, config: OptimizerConfig) -> float:
@@ -87,19 +87,6 @@ def _closed_form_trial(i: int, seed: int, config: OptimizerConfig) -> float:
     return max(dev_a, dev_b)
 
 
-def discord_closed_form_campaign(
-    trials: int = 200,
-    seed: int = 0,
-    tol: float = 1e-6,
-    config: OptimizerConfig | None = None,
-    workers: int = 1,
-) -> CampaignResult:
-    """One-sided closed forms against the basis search on random mixed states."""
-    cfg = config if config is not None else OptimizerConfig()
-    trial = functools.partial(_closed_form_trial, seed=seed, config=cfg)
-    return _run("analytic-vs-numeric", trial, trials, tol, workers)
-
-
 def _class3_extrema_trial(i: int, seed: int, config: OptimizerConfig) -> float:
     rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
     v_an, vt_an = v_measures_analytic(rho)
@@ -107,22 +94,8 @@ def _class3_extrema_trial(i: int, seed: int, config: OptimizerConfig) -> float:
     return max(abs(v_an - low.value), abs(vt_an - high.value))
 
 
-def class3_extrema_campaign(
-    trials: int = 200,
-    seed: int = 0,
-    tol: float = 1e-6,
-    config: OptimizerConfig | None = None,
-    workers: int = 1,
-) -> CampaignResult:
-    """Closed-form anti-diagonal extremes against the basis search."""
-    cfg = config if config is not None else OptimizerConfig()
-    trial = functools.partial(_class3_extrema_trial, seed=seed, config=cfg)
-    return _run("theorem5", trial, trials, tol, workers)
-
-
-def _pure_discord_trial(i: int, seed: int, dims_cycle, config: OptimizerConfig) -> float:
-    dims = dims_cycle[i % len(dims_cycle)]
-    psi = random_pure(dims, seed + i)
+def _pure_discord_trial(i: int, seed: int, dims, config: OptimizerConfig) -> float:
+    psi = random_pure(dims[i % len(dims)], seed + i)
     c2 = concurrence_pure(psi) ** 2
     rho = psi.to_density()
     d_ab = minimize_over_bases(rho, "class1", config).value
@@ -134,36 +107,11 @@ def _pure_discord_trial(i: int, seed: int, dims_cycle, config: OptimizerConfig) 
     )
 
 
-def pure_state_discord_campaign(
-    trials: int = 100,
-    dims=PURE_DISCORD_DIMS,
-    seed: int = 0,
-    tol: float = 1e-6,
-    config: OptimizerConfig | None = None,
-    workers: int = 1,
-) -> CampaignResult:
-    """Pure states: d_sym = c^2 with equal halves on both sides."""
-    cfg = config if config is not None else OptimizerConfig()
-    trial = functools.partial(_pure_discord_trial, seed=seed, dims_cycle=tuple(dims), config=cfg)
-    return _run("corollary2", trial, trials, tol, workers)
-
-
 def _sum_rule_trial(i: int, seed: int) -> float:
     rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
     v, vt = v_measures_analytic(rho)
     t = bloch_decompose(rho).T
     return abs((v + vt) * 4.0 - float(np.sum(t * t)))
-
-
-def class3_sum_rule_campaign(
-    trials: int = 500,
-    seed: int = 0,
-    tol: float = 1e-10,
-    workers: int = 1,
-) -> CampaignResult:
-    """Identity v + v_tilde = |T|^2 / 4 on random mixed states."""
-    trial = functools.partial(_sum_rule_trial, seed=seed)
-    return _run("eq64", trial, trials, tol, workers)
 
 
 def _mixed_bound_trial(i: int, seed: int, samples: int) -> float:
@@ -172,32 +120,9 @@ def _mixed_bound_trial(i: int, seed: int, samples: int) -> float:
     return max(0.0, lhs - min(rhs_samples))
 
 
-def mixed_state_bound_campaign(
-    trials: int = 200,
-    samples: int = 64,
-    seed: int = 0,
-    tol: float = 1e-9,
-    workers: int = 1,
-) -> CampaignResult:
-    """Decomposition-sampled lower bound on mixed two-qubit states."""
-    trial = functools.partial(_mixed_bound_trial, seed=seed, samples=samples)
-    return _run("corollary1", trial, trials, tol, workers)
-
-
 def _classical_zero_trial(i: int, seed: int) -> float:
     rho = random_classical(TWO_QUBIT_DIMS, seed + i)
     return discord_ab_analytic(rho)[0] + discord_ba_analytic(rho)[0]
-
-
-def classical_zero_campaign(
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-    workers: int = 1,
-) -> CampaignResult:
-    """d_sym vanishes on classically correlated states."""
-    trial = functools.partial(_classical_zero_trial, seed=seed)
-    return _run("classical-zero", trial, trials, tol, workers)
 
 
 def _sandwich_trial(i: int, seed: int, config: OptimizerConfig) -> float:
@@ -210,17 +135,94 @@ def _sandwich_trial(i: int, seed: int, config: OptimizerConfig) -> float:
     return max(low_violation, high_violation)
 
 
-def two_side_sandwich_campaign(
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-6,
-    config: OptimizerConfig | None = None,
-    workers: int = 1,
+@dataclass(frozen=True)
+class Suite:
+    """One campaign: its trial, default size and tolerance, and the options it takes."""
+
+    trial: Callable[..., float]  # trial(i, seed, **options) -> deviation from the claim
+    trials: int
+    tol: float
+    options: dict  # option name ("dims", "samples" or "config") -> default
+
+
+_SEARCH = {"config": OptimizerConfig()}
+
+# Cheapest first, the order scripts/random_state_campaign.py runs them in.
+SUITES = {
+    "monogamy": Suite(_monogamy_trial, 1000, 1e-10, {"dims": MONOGAMY_DIMS}),
+    "eq64": Suite(_sum_rule_trial, 500, 1e-10, {}),
+    "classical-zero": Suite(_classical_zero_trial, 100, 1e-9, {}),
+    "analytic-vs-numeric": Suite(_closed_form_trial, 200, 1e-6, _SEARCH),
+    "corollary1": Suite(_mixed_bound_trial, 200, 1e-9, {"samples": 64}),
+    "two-side-sandwich": Suite(_sandwich_trial, 100, 1e-6, _SEARCH),
+    "corollary2": Suite(_pure_discord_trial, 100, 1e-6, {"dims": PURE_DISCORD_DIMS, **_SEARCH}),
+    "theorem5": Suite(_class3_extrema_trial, 200, 1e-6, _SEARCH),
+}
+
+
+def run_suite(
+    name: str, trials=None, tol=None, seed: int = 0, workers: int = 1, **options
 ) -> CampaignResult:
+    """Run one suite of SUITES; trials, tol or an option left None takes the suite's default."""
+    if name not in SUITES:
+        raise DiscohError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    suite = SUITES[name]
+    unknown = sorted(set(options) - set(suite.options))
+    if unknown:
+        raise DiscohError(f"suite {name} takes no {', '.join(unknown)}")
+    trials = suite.trials if trials is None else trials
+    tol = suite.tol if tol is None else tol
+    if trials < 1:
+        raise DiscohError(f"trials must be at least 1, got {trials}")
+    if not math.isfinite(tol):
+        raise DiscohError(f"tol must be finite, got {tol}")
+    kw = dict(suite.options)
+    kw.update((key, value) for key, value in options.items() if value is not None)
+    if "dims" in kw:
+        kw["dims"] = tuple(tuple(d) for d in kw["dims"])
+    result = _run(name, functools.partial(suite.trial, seed=seed, **kw), trials, tol, workers)
+    worst_dims = kw["dims"][result.worst_trial % len(kw["dims"])] if "dims" in kw else None
+    return replace(result, worst_seed=seed + result.worst_trial, worst_dims=worst_dims)
+
+
+def monogamy_campaign(trials=None, dims=None, seed=0, tol=None, workers=1):
+    """Pure-state balance c^2 = d_total - d_local_a - d_local_b across dims."""
+    return run_suite("monogamy", trials, tol, seed, workers, dims=dims)
+
+
+def discord_closed_form_campaign(trials=None, seed=0, tol=None, config=None, workers=1):
+    """One-sided closed forms against the basis search on random mixed states."""
+    return run_suite("analytic-vs-numeric", trials, tol, seed, workers, config=config)
+
+
+def class3_extrema_campaign(trials=None, seed=0, tol=None, config=None, workers=1):
+    """Closed-form anti-diagonal extremes against the basis search."""
+    return run_suite("theorem5", trials, tol, seed, workers, config=config)
+
+
+def pure_state_discord_campaign(trials=None, dims=None, seed=0, tol=None, config=None, workers=1):
+    """Pure states: d_sym = c^2 with equal halves on both sides."""
+    return run_suite("corollary2", trials, tol, seed, workers, dims=dims, config=config)
+
+
+def class3_sum_rule_campaign(trials=None, seed=0, tol=None, workers=1):
+    """Identity v + v_tilde = |T|^2 / 4 on random mixed states."""
+    return run_suite("eq64", trials, tol, seed, workers)
+
+
+def mixed_state_bound_campaign(trials=None, samples=None, seed=0, tol=None, workers=1):
+    """Decomposition-sampled lower bound on mixed two-qubit states."""
+    return run_suite("corollary1", trials, tol, seed, workers, samples=samples)
+
+
+def classical_zero_campaign(trials=None, seed=0, tol=None, workers=1):
+    """d_sym vanishes on classically correlated states."""
+    return run_suite("classical-zero", trials, tol, seed, workers)
+
+
+def two_side_sandwich_campaign(trials=None, seed=0, tol=None, config=None, workers=1):
     """max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba on random mixed states."""
-    cfg = config if config is not None else OptimizerConfig()
-    trial = functools.partial(_sandwich_trial, seed=seed, config=cfg)
-    return _run("two-side-sandwich", trial, trials, tol, workers)
+    return run_suite("two-side-sandwich", trials, tol, seed, workers, config=config)
 
 
 def werner_sweep(lo: float = 0.0, hi: float = 1.0, steps: int = 101) -> list[dict]:

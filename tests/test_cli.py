@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from discoh import measures, verify
 from discoh.cli import main
-from discoh.coherence import OptimizerConfig, minimize_over_bases
+from discoh.coherence import OptimizerConfig, maximize_over_bases, minimize_over_bases
 from discoh.discord import discord_ab_analytic
 from discoh.states import load_state, make_werner
 
@@ -69,6 +70,36 @@ class TestExitCodes:
         code, out, _ = run_cli("verify", "eq64", "--trials", "5", "--tol", "0", capsys=capsys)
         assert code == 3
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--trials", "0"), ("--trials", "-3"), ("--tol", "nan"), ("--tol", "inf")],
+    )
+    def test_verify_that_checks_nothing_is_usage_error(self, flags, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        code, out, err = run_cli("verify", "eq64", *flags, capsys=capsys)
+        assert code == 1
+        assert "PASS" not in out
+        assert flags[0] in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eq64", "--dims", "3x3"),
+            ("eq64", "--samples", "5"),
+            ("theorem5", "--dims", "2x2"),
+            ("corollary1", "--dims", "2x2"),
+            ("monogamy", "--samples", "5"),
+        ],
+    )
+    def test_verify_option_the_suite_ignores_is_usage_error(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        code, _, err = run_cli("verify", *argv, capsys=capsys)
+        assert code == 1
+        assert f"takes no {argv[1]}" in err
+
+    def test_sweep_has_no_seed(self, capsys):
+        assert run_cli("sweep", "--seed", "3", capsys=capsys)[0] == 1
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help", capsys=capsys)[0] == 0
@@ -163,6 +194,81 @@ class TestAnalyze:
         assert values["d_ab"] == minimize_over_bases(rho, "class1", cfg).value
         assert values["d_tilde"] == minimize_over_bases(rho, "tilde_total", cfg).value
 
+    def test_numeric_sums_and_class3_match_direct_searches_exactly(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        run_cli("generate", "random-mixed", "--dims", "2x2", "--seed", "8", "-o", str(path), capsys=capsys)
+        code, out, _ = run_cli(
+            "analyze", str(path), "--measures", "d_sym,v,v_tilde", "--method", "numeric",
+            "--format", "json", "--seed", "5", "--restarts", "8", capsys=capsys,
+        )
+        assert code == 0
+        records = {r["measure"]: r for r in json.loads(out)["records"]}
+        rho = load_state(path)
+        cfg = OptimizerConfig(restarts=8, seed=5)
+        class1 = minimize_over_bases(rho, "class1", cfg)
+        class2 = minimize_over_bases(rho, "class2", cfg)
+        low = minimize_over_bases(rho, "class3", cfg)
+        high = maximize_over_bases(rho, "class3", cfg)
+        assert records["d_sym"]["value"] == class1.value + class2.value
+        assert records["d_sym"]["converged"] == (class1.converged and class2.converged)
+        assert records["v"]["value"] == low.value
+        assert records["v_tilde"]["value"] == high.value
+
+    def test_both_runs_each_search_once(self, bell_path, capsys, monkeypatch):
+        calls = []
+        for name, sense in (("minimize_over_bases", "min"), ("maximize_over_bases", "max")):
+            search = getattr(measures, name)
+
+            def counted(rho, objective, config, search=search, sense=sense):
+                calls.append((objective, sense))
+                return search(rho, objective, config)
+
+            monkeypatch.setattr(measures, name, counted)
+        code, out, _ = run_cli(
+            "analyze", bell_path, "--method", "both", "--format", "json", "--fast", capsys=capsys
+        )
+        assert code == 0
+        assert len(calls) == 5
+        assert set(calls) == {
+            ("class1", "min"), ("class2", "min"), ("tilde_total", "min"),
+            ("class3", "min"), ("class3", "max"),
+        }  # fmt: skip
+        numeric = [r["measure"] for r in json.loads(out)["records"] if r["method"] == "numeric"]
+        assert numeric == ["d_ab", "d_ba", "d_sym", "d_tilde", "v", "v_tilde"]
+
+    def test_default_on_qudit_pure_state(self, tmp_path, capsys):
+        path = tmp_path / "psi.json"
+        run_cli("generate", "random-pure", "--dims", "2x3", "--seed", "9", "-o", str(path), capsys=capsys)
+        code, out, _ = run_cli("analyze", str(path), "--format", "json", "--fast", capsys=capsys)
+        assert code == 0
+        records = json.loads(out)["records"]
+        names = [r["measure"] for r in records]
+        assert names == [
+            "d_ab", "d_ba", "d_sym", "d_tilde", "v", "v_tilde", "concurrence", "monogamy",
+        ]  # fmt: skip
+        assert all(r["detail"] == {"note": "exploratory"} for r in records[:6])
+
+    def test_default_analytic_drops_d_tilde(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        run_cli("generate", "werner", "--p", "0.5", "-o", str(path), capsys=capsys)
+        code, out, _ = run_cli("analyze", str(path), "--method", "analytic", "--format", "json", capsys=capsys)
+        assert code == 0
+        names = [r["measure"] for r in json.loads(out)["records"]]
+        assert names == ["d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh", "concurrence"]
+
+    def test_analytic_beyond_two_qubits_fails_before_searching(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "psi.json"
+        run_cli("generate", "random-pure", "--dims", "2x3", "--seed", "9", "-o", str(path), capsys=capsys)
+        monkeypatch.setattr(measures, "minimize_over_bases", lambda *a: pytest.fail("searched"))
+        code, _, err = run_cli(
+            "analyze", str(path), "--measures", "concurrence,d_tilde", "--method", "both", capsys=capsys
+        )
+        assert code == 2
+        assert "analytic method needs dims (2, 2) for d_tilde; this state is 2x3" in err
+        code, _, err = run_cli("analyze", str(path), "--measures", "d_ab,chsh", capsys=capsys)
+        assert code == 2
+        assert "chsh needs dims (2, 2)" in err
+
     def test_byte_deterministic_output(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         run_cli("generate", "random-mixed", "--dims", "2x2", "--seed", "2", "-o", str(path), capsys=capsys)
@@ -242,6 +348,14 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_cli("verify", "nonsense", capsys=capsys)[0] == 1
+
+    @pytest.mark.parametrize("suite", tuple(verify.SUITES))
+    def test_every_suite_runs(self, suite, capsys):
+        code, out, _ = run_cli(
+            "verify", suite, "--trials", "2", "--fast", "--max-iterations", "400", capsys=capsys
+        )
+        assert code == 0
+        assert f"suite={suite} trials=2 failures=0" in out
 
     def test_fast_flag(self, capsys):
         code, out, _ = run_cli(

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discoh.coherence import OptimizerConfig
+from discoh.coherence import OptimizerConfig, minimize_over_bases
 from discoh.discord import (
     DiscordReport,
     MeasurementDirection,
     discord_ab_analytic,
-    discord_ab_numeric,
     discord_ba_analytic,
-    discord_ba_numeric,
-    discord_report,
-    discord_symmetric,
-    discord_two_side,
 )
 from discoh.errors import ConsistencyError, DiscohError, NormalizationError, UnsupportedDimensionError
 from discoh.linalg import identity
+from discoh.measures import discord_report, evaluate
 from discoh.states import (
     DensityMatrix,
     PureState,
@@ -30,6 +26,11 @@ from discoh.states import (
 )
 
 FAST = OptimizerConfig(restarts=8, seed=0)
+
+
+def d_sym(rho, method="analytic", config=None):
+    (record,) = evaluate(rho, ["d_sym"], method, config)
+    return record["value"]
 
 
 def product_plus_state():
@@ -78,49 +79,49 @@ class TestNumeric:
     @settings(deadline=None, max_examples=8)
     def test_matches_analytic(self, seed):
         rho = random_mixed((2, 2), 4, seed)
-        got_ab = discord_ab_numeric(rho, FAST)
-        got_ba = discord_ba_numeric(rho, FAST)
+        got_ab = minimize_over_bases(rho, "class1", FAST)
+        got_ba = minimize_over_bases(rho, "class2", FAST)
         assert got_ab.value == pytest.approx(discord_ab_analytic(rho)[0], abs=1e-6)
         assert got_ba.value == pytest.approx(discord_ba_analytic(rho)[0], abs=1e-6)
 
     def test_works_beyond_two_qubits(self):
         rho = random_pure((2, 3), seed=4).to_density()
-        opt = discord_ab_numeric(rho, FAST)
+        opt = minimize_over_bases(rho, "class1", FAST)
         assert opt.value >= 0.0
 
 
 class TestSymmetric:
     def test_bell(self):
-        assert discord_symmetric(make_bell("phi+").to_density()) == pytest.approx(1.0, abs=1e-12)
+        assert d_sym(make_bell("phi+").to_density()) == pytest.approx(1.0, abs=1e-12)
 
     def test_classical_zero(self):
         rho = random_classical((2, 2), seed=6)
-        assert discord_symmetric(rho) == pytest.approx(0.0, abs=1e-9)
+        assert d_sym(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_werner(self):
-        assert discord_symmetric(make_werner(0.4)) == pytest.approx(0.16, abs=1e-12)
+        assert d_sym(make_werner(0.4)) == pytest.approx(0.16, abs=1e-12)
 
     def test_numeric_method(self):
         rho = make_werner(0.4)
-        value = discord_symmetric(rho, method="numeric", config=FAST)
+        value = d_sym(rho, method="numeric", config=FAST)
         assert value == pytest.approx(0.16, abs=1e-6)
 
     def test_unknown_method(self):
         with pytest.raises(DiscohError):
-            discord_symmetric(make_werner(0.4), method="magic")
+            d_sym(make_werner(0.4), method="magic")
 
 
 class TestTwoSide:
     def test_bell_half(self):
-        opt = discord_two_side(make_bell("phi+").to_density(), FAST)
+        opt = minimize_over_bases(make_bell("phi+").to_density(), "tilde_total", FAST)
         assert opt.value == pytest.approx(0.5, abs=1e-6)
 
     def test_maximally_mixed_zero(self):
-        opt = discord_two_side(DensityMatrix((2, 2), identity(4) / 4), FAST)
+        opt = minimize_over_bases(DensityMatrix((2, 2), identity(4) / 4), "tilde_total", FAST)
         assert opt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_product_state_zero(self):
-        opt = discord_two_side(product_plus_state(), FAST)
+        opt = minimize_over_bases(product_plus_state(), "tilde_total", FAST)
         assert opt.value == pytest.approx(0.0, abs=1e-9)
 
 

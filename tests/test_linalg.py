@@ -1,4 +1,4 @@
-"""Matrix-core tests: products, partial trace, eigensolver, norms."""
+"""Matrix-core tests: Pauli products, partial trace, eigensolver, norms."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from discoh.linalg import (
     hermitian_eigen,
     identity,
     kron,
-    multiply,
     partial_trace,
     sigma_x,
     sigma_y,
@@ -53,18 +52,13 @@ def partial_trace_loops(mat, dims, keep):
 
 
 class TestMultiply:
-    def test_identity_case(self):
-        assert np.array_equal(multiply(identity(2), identity(2)), identity(2))
+    """Products of the Pauli constants."""
 
     def test_pauli_involution(self):
-        assert np.allclose(multiply(sigma_x, sigma_x), identity(2))
+        assert np.allclose(sigma_x @ sigma_x, identity(2))
 
     def test_pauli_algebra(self):
-        assert np.allclose(multiply(sigma_x, sigma_y), 1j * sigma_z)
-
-    def test_inner_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            multiply(np.zeros((2, 3)), np.zeros((2, 3)))
+        assert np.allclose(sigma_x @ sigma_y, 1j * sigma_z)
 
 
 class TestKron:

@@ -37,7 +37,6 @@ from discoh.states import (
     save_state,
     schmidt_decompose,
     swap_subsystems,
-    validate,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -76,11 +75,6 @@ class TestDensityMatrixValidation:
         mat[0, 0] = np.nan
         with pytest.raises(StateFormatError):
             DensityMatrix((2, 2), mat)
-
-    def test_validate_helper(self):
-        validate(identity(6) / 6, (2, 3))
-        with pytest.raises(TraceError):
-            validate(identity(6), (2, 3))
 
     def test_reduced_matches_partial_trace(self):
         rho = random_mixed((2, 3), 6, seed=3)

@@ -6,9 +6,13 @@ import pytest
 from discoh.coherence import OptimizerConfig
 from discoh.errors import DiscohError
 from discoh.verify import (
+    MONOGAMY_DIMS,
+    class3_sum_rule_campaign,
     classical_zero_campaign,
     discord_closed_form_campaign,
     monogamy_campaign,
+    pure_state_discord_campaign,
+    run_suite,
     werner_sweep,
 )
 
@@ -44,6 +48,51 @@ def test_workers_agree_with_serial():
     parallel = monogamy_campaign(trials=12, seed=3, workers=2)
     assert serial.max_deviation == parallel.max_deviation
     assert serial.failures == parallel.failures
+
+
+class TestWorstTrial:
+    def test_rerun_of_worst_trial_reproduces_max_deviation(self):
+        result = class3_sum_rule_campaign(trials=20, seed=4)
+        assert result.worst_seed == 4 + result.worst_trial
+        assert result.worst_dims is None
+        assert f"worst_trial={result.worst_trial} worst_seed={result.worst_seed} " in result.summary()
+        rerun = class3_sum_rule_campaign(trials=1, seed=result.worst_seed)
+        assert rerun.max_deviation == result.max_deviation
+
+    def test_cycled_dims_are_reported(self):
+        result = monogamy_campaign(trials=12, seed=3)
+        assert result.worst_dims == MONOGAMY_DIMS[result.worst_trial % len(MONOGAMY_DIMS)]
+        assert "worst_dims=%dx%d" % result.worst_dims in result.summary()
+        rerun = monogamy_campaign(trials=1, seed=result.worst_seed, dims=(result.worst_dims,))
+        assert rerun.max_deviation == result.max_deviation
+
+    def test_search_suite_rerun(self):
+        dims = ((2, 2), (2, 3))
+        result = pure_state_discord_campaign(trials=4, dims=dims, seed=1, config=FAST)
+        assert result.worst_dims == dims[result.worst_trial % 2]
+        rerun = pure_state_discord_campaign(
+            trials=1, dims=(result.worst_dims,), seed=result.worst_seed, config=FAST
+        )
+        assert rerun.max_deviation == result.max_deviation
+
+
+class TestRunSuite:
+    def test_defaults_come_from_the_table(self):
+        result = run_suite("classical-zero", trials=3)
+        assert (result.trials, result.tol) == (3, 1e-9)
+
+    @pytest.mark.parametrize("trials, tol", [(0, None), (-1, None), (3, float("nan")), (3, float("inf"))])
+    def test_rejects_a_campaign_that_checks_nothing(self, trials, tol):
+        with pytest.raises(DiscohError):
+            run_suite("eq64", trials, tol)
+
+    def test_rejects_options_the_suite_does_not_take(self):
+        with pytest.raises(DiscohError, match="takes no dims"):
+            run_suite("eq64", 3, dims=((2, 2),))
+
+    def test_unknown_suite(self):
+        with pytest.raises(DiscohError):
+            run_suite("nonsense")
 
 
 class TestWernerSweep:
