@@ -25,6 +25,7 @@ from .simplex import minimize_batch
 from .states import DensityMatrix, _check_finite
 
 UNITARITY_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 OBJECTIVES = ("class1", "class2", "class3", "tilde_total", "total")
 
@@ -189,14 +190,21 @@ def unitaries_from_params(theta: np.ndarray, d: int) -> np.ndarray:
         b1 = theta[:, 2]
         b2 = theta[:, 3]
         r = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-        f = np.sinc(r / np.pi)  # sin(r) / r, exact at r = 0
+        # sin(r) / r, exact at r = 0: np.sinc(r / pi) without its call overhead
+        y = np.pi * (r / np.pi)
+        y = np.where(y, y, _EPS)
+        f = np.sin(y) / y
         c = np.cos(r)
         phase = np.exp(1j * a)
+        jf = 1j * f
+        jfb1 = jf * b1
+        jfb3 = jf * b3
+        fb2 = f * b2
         u = np.empty((bsz, 2, 2), dtype=complex)
-        u[:, 0, 0] = phase * (c + 1j * f * b3)
-        u[:, 0, 1] = phase * (f * b2 + 1j * f * b1)
-        u[:, 1, 0] = phase * (-f * b2 + 1j * f * b1)
-        u[:, 1, 1] = phase * (c - 1j * f * b3)
+        u[:, 0, 0] = phase * (c + jfb3)
+        u[:, 0, 1] = phase * (fb2 + jfb1)
+        u[:, 1, 0] = phase * (-fb2 + jfb1)
+        u[:, 1, 1] = phase * (c - jfb3)
         return u
     h = np.zeros((bsz, d, d), dtype=complex)
     idx = np.arange(d)
@@ -214,17 +222,29 @@ def _basis_objective(rho: DensityMatrix, objective: str, maximize: bool):
     """Batch objective over generator coefficients, plus its parameter count."""
     m, n = rho.dims
     flat = _index_masks(m, n)[objective]
+    weights = -flat if maximize else flat  # a maximum is the minimum of the negated sum
     vary_a, vary_b = _VARIED_SIDES[objective]
     na = m * m if vary_a else 0
     nb = n * n if vary_b else 0
     mat = rho.mat
-    sign = -1.0 if maximize else 1.0
     eye_a = np.eye(m, dtype=complex)
     eye_b = np.eye(n, dtype=complex)
 
     def fn(theta):
         theta = np.atleast_2d(theta)
         bsz = theta.shape[0]
+        if vary_a and vary_b and m == n:
+            # both sides in one call: rows alternate a, b
+            u = unitaries_from_params(theta.reshape(2 * bsz, na), m)
+            ua, ub = u[0::2], u[1::2]
+        else:
+            ua, ub = _side_unitaries(theta, bsz)
+        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(bsz, m * n, m * n)
+        rot = (w @ mat) @ w.conj().swapaxes(-2, -1)
+        p2 = (rot.real**2 + rot.imag**2).reshape(bsz, -1)
+        return p2 @ weights
+
+    def _side_unitaries(theta, bsz):
         ua = (
             unitaries_from_params(theta[:, :na], m)
             if vary_a
@@ -235,10 +255,7 @@ def _basis_objective(rho: DensityMatrix, objective: str, maximize: bool):
             if vary_b
             else np.broadcast_to(eye_b, (bsz, n, n))
         )
-        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(bsz, m * n, m * n)
-        rot = (w @ mat) @ w.conj().swapaxes(-2, -1)
-        p2 = (rot.real**2 + rot.imag**2).reshape(bsz, -1)
-        return sign * (p2 @ flat)
+        return ua, ub
 
     return fn, na + nb, na
 

@@ -29,7 +29,8 @@ class SimplexResult:
 
 def _sorted(sim, f):
     order = np.argsort(f, axis=1, kind="stable")
-    return np.take_along_axis(sim, order[:, :, None], 1), np.take_along_axis(f, order, 1)
+    rows = np.arange(f.shape[0])[:, None]
+    return sim[rows, order], f[rows, order]
 
 
 def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
@@ -54,56 +55,50 @@ def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
         it += 1
         s = sim[act]
         fs = f[act]
-        k = act.size
         cen = s[:, :-1].mean(axis=1)
         xw = s[:, -1]
         fw = fs[:, -1]
-        fb = fs[:, 0]
-        fsw = fs[:, -2]
         xr = cen + ALPHA * (cen - xw)
         fr = np.asarray(fn(xr), dtype=float)
-        evals += k
+        evals += act.size
 
-        new_x = xr.copy()
-        new_f = fr.copy()
-        shrink = np.zeros(k, dtype=bool)
-
-        expand = fr < fb
-        c_out = (fr >= fsw) & (fr < fw)
+        # a reflection that lands between the best and second-worst vertex
+        # is taken as it is; every other row tries one second point
+        expand = fr < fs[:, 0]
         c_in = fr >= fw
-        second = expand | c_out | c_in
-        idx2 = np.flatnonzero(second)
-        if idx2.size:
-            x2 = np.empty((idx2.size, n))
-            sel_e = expand[idx2]
-            sel_o = c_out[idx2]
-            sel_i = c_in[idx2]
-            x2[sel_e] = cen[idx2][sel_e] + GAMMA * (cen[idx2][sel_e] - xw[idx2][sel_e])
-            x2[sel_o] = cen[idx2][sel_o] + BETA * (xr[idx2][sel_o] - cen[idx2][sel_o])
-            x2[sel_i] = cen[idx2][sel_i] - BETA * (cen[idx2][sel_i] - xw[idx2][sel_i])
+        second = np.flatnonzero(expand | c_in | (fr >= fs[:, -2]))
+        new_x = xr
+        new_f = fr
+        shrink = second[:0]
+        if second.size:
+            ce, xwe, xre, fre, fwe = cen[second], xw[second], xr[second], fr[second], fw[second]
+            sel_e = expand[second]
+            sel_i = c_in[second]
+            x2 = np.where(
+                sel_e[:, None],
+                ce + GAMMA * (ce - xwe),
+                np.where(sel_i[:, None], ce - BETA * (ce - xwe), ce + BETA * (xre - ce)),
+            )
             f2 = np.asarray(fn(x2), dtype=float)
-            evals += idx2.size
+            evals += second.size
 
-            take = np.zeros(idx2.size, dtype=bool)
-            take[sel_e] = f2[sel_e] < fr[idx2][sel_e]
-            take[sel_o] = f2[sel_o] <= fr[idx2][sel_o]
-            take[sel_i] = f2[sel_i] < fw[idx2][sel_i]
-            rows = idx2[take]
+            take = np.where(sel_e, f2 < fre, np.where(sel_i, f2 < fwe, f2 <= fre))
+            rows = second[take]
             new_x[rows] = x2[take]
             new_f[rows] = f2[take]
             # failed contractions shrink the whole simplex toward the best vertex
-            failed = ~take & (sel_o | sel_i)
-            shrink[idx2[failed]] = True
+            shrink = second[~take & ~sel_e]
 
-        keep = ~shrink
-        s[keep, -1] = new_x[keep]
-        fs[keep, -1] = new_f[keep]
-        rows = np.flatnonzero(shrink)
-        if rows.size:
-            s[rows, 1:] = s[rows, :1] + DELTA * (s[rows, 1:] - s[rows, :1])
-            fnew = np.asarray(fn(s[rows, 1:].reshape(-1, n)), dtype=float)
-            fs[rows, 1:] = fnew.reshape(rows.size, n)
-            evals += rows.size * n
+        if shrink.size:  # a shrinking row keeps its worst vertex until the shrink
+            new_x[shrink] = xw[shrink]
+            new_f[shrink] = fw[shrink]
+        s[:, -1] = new_x
+        fs[:, -1] = new_f
+        if shrink.size:
+            s[shrink, 1:] = s[shrink, :1] + DELTA * (s[shrink, 1:] - s[shrink, :1])
+            fnew = np.asarray(fn(s[shrink, 1:].reshape(-1, n)), dtype=float)
+            fs[shrink, 1:] = fnew.reshape(shrink.size, n)
+            evals += shrink.size * n
 
         s, fs = _sorted(s, fs)
         sim[act] = s
