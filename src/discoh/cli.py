@@ -99,16 +99,25 @@ def _parse_measures(text: str) -> list[str]:
     return seen
 
 
+# The flags behind each verify option; a flag is a usage error on a suite
+# that does not take its option.
+_SUITE_OPTION_FLAGS = {
+    "dims": ("dims",),
+    "samples": ("samples",),
+    "config": ("restarts", "max_iterations", "objective_tolerance", "fast"),
+}
+
+
 def _optimizer_config(args) -> OptimizerConfig:
-    restarts = args.restarts
-    if restarts is None:
-        restarts = 8 if getattr(args, "fast", False) else 32
-    return OptimizerConfig(
-        restarts=restarts,
-        max_iterations=args.max_iterations,
-        objective_tolerance=args.objective_tolerance,
-        seed=args.seed,
-    )
+    """OptimizerConfig from the search flags; a flag left unset takes the config default."""
+    given = {
+        name: getattr(args, name)
+        for name in ("restarts", "max_iterations", "objective_tolerance")
+        if getattr(args, name) is not None
+    }
+    if args.fast and args.restarts is None:
+        given["restarts"] = 8
+    return OptimizerConfig(seed=args.seed, **given)
 
 
 def _detail_text(detail: dict) -> str:
@@ -181,15 +190,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     takes = SUITES[args.suite].options
-    for option in ("dims", "samples"):
-        if getattr(args, option) is not None and option not in takes:
-            args.usage_error(f"suite {args.suite} takes no --{option}")
-    given = {
-        "dims": None if args.dims in (None, "all") else (args.dims,),
-        "samples": args.samples,
-        "config": _optimizer_config(args),
-    }
-    options = {key: value for key, value in given.items() if key in takes}
+    for option, flags in _SUITE_OPTION_FLAGS.items():
+        for flag in flags:
+            if getattr(args, flag) is not None and option not in takes:
+                args.usage_error(f"suite {args.suite} takes no --{flag.replace('_', '-')}")
+    options = {}
+    if "dims" in takes:
+        options["dims"] = None if args.dims in (None, "all") else (args.dims,)
+    if "samples" in takes:
+        options["samples"] = args.samples
+    if "config" in takes:
+        options["config"] = _optimizer_config(args)
     result = run_suite(args.suite, args.trials, args.tol, args.seed, args.workers, **options)
     print(result.summary())
     return EXIT_OK if result.passed else EXIT_VERIFY_FAILED
@@ -222,17 +233,18 @@ def cmd_generate(args) -> int:
 def _add_optimizer_flags(parser) -> None:
     parser.add_argument("--restarts", type=int, default=None, help="search restarts (default 32)")
     parser.add_argument(
-        "--max-iterations", type=int, default=2000, help="iteration cap per restart"
+        "--max-iterations", type=int, default=None, help="iteration cap per restart (default 2000)"
     )
     parser.add_argument(
         "--objective-tolerance",
         type=float,
-        default=1e-9,
-        help="stop a restart when its objective spread drops below this",
+        default=None,
+        help="stop a restart when its objective spread drops below this (default 1e-9)",
     )
     parser.add_argument(
         "--fast",
         action="store_true",
+        default=None,
         help="use 8 restarts; quicker, weaker global-search guarantee",
     )
 

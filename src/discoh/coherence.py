@@ -13,6 +13,15 @@ index families:
 indices twice.  Extremizing any family over all product bases is done by a
 seeded multi-start simplex search over unitary generator coefficients; all
 restarts advance in lockstep so the objective vectorizes over the batch.
+
+Every family is a sum of squared moduli, and a diagonal phase matrix D only
+rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B leave all
+sums unchanged.  So the search runs on the quotient by diagonal phases: each
+varied side is U = exp(i H) with an off-diagonal Hermitian H, d^2 - d real
+coefficients instead of d^2.  The curves t -> exp(i t X) with off-diagonal
+X project to the geodesics through the identity class of the compact
+quotient, so by Hopf-Rinow they reach every class: the search still covers
+every product basis up to phases.
 """
 
 from dataclasses import dataclass
@@ -163,6 +172,7 @@ class BasisOptimum:
     evaluations: int
     restart_index: int
     objective: str
+    restarts_at_best: int  # restarts that ended within objective_tolerance of the best
 
 
 @lru_cache(maxsize=None)
@@ -172,46 +182,37 @@ def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitaries_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    """Map rows of d^2 real coefficients to unitaries U = exp(i H).
+    """Map rows of d^2 - d real coefficients to unitaries U = exp(i H).
 
-    The first d entries fill the diagonal of the Hermitian generator H, the
-    remaining pairs give real and imaginary parts of the upper triangle in
-    row-major order.  The parameterization is redundant (phases); the search
-    only needs it to be surjective.
+    H is Hermitian with a zero diagonal; the coefficients are the real and
+    imaginary parts of its upper triangle in row-major order.  A diagonal of
+    H would only multiply U by phases, which no class sum sees, so it is left
+    out.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     bsz = theta.shape[0]
-    if theta.shape[1] != d * d:
-        raise ShapeError(f"need {d * d} coefficients per row, got {theta.shape[1]}")
+    if theta.shape[1] != d * d - d:
+        raise ShapeError(f"need {d * d - d} coefficients per row, got {theta.shape[1]}")
     if d == 2:
-        # closed form through the Pauli decomposition H = a 1 + b . sigma
-        a = 0.5 * (theta[:, 0] + theta[:, 1])
-        b3 = 0.5 * (theta[:, 0] - theta[:, 1])
-        b1 = theta[:, 2]
-        b2 = theta[:, 3]
-        r = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-        # sin(r) / r, exact at r = 0: np.sinc(r / pi) without its call overhead
-        y = np.pi * (r / np.pi)
-        y = np.where(y, y, _EPS)
+        # closed form: H = b1 sigma_x + b2 sigma_y, exp(i H) = cos r + i sin(r)/r H
+        b1 = theta[:, 0]
+        b2 = theta[:, 1]
+        r = np.sqrt(b1 * b1 + b2 * b2)
+        y = np.where(r, r, _EPS)  # sin(r) / r, exact at r = 0
         f = np.sin(y) / y
         c = np.cos(r)
-        phase = np.exp(1j * a)
-        jf = 1j * f
-        jfb1 = jf * b1
-        jfb3 = jf * b3
+        jfb1 = 1j * f * b1
         fb2 = f * b2
         u = np.empty((bsz, 2, 2), dtype=complex)
-        u[:, 0, 0] = phase * (c + jfb3)
-        u[:, 0, 1] = phase * (fb2 + jfb1)
-        u[:, 1, 0] = phase * (-fb2 + jfb1)
-        u[:, 1, 1] = phase * (c - jfb3)
+        u[:, 0, 0] = c
+        u[:, 0, 1] = fb2 + jfb1
+        u[:, 1, 0] = -fb2 + jfb1
+        u[:, 1, 1] = c
         return u
     h = np.zeros((bsz, d, d), dtype=complex)
-    idx = np.arange(d)
-    h[:, idx, idx] = theta[:, :d]
     rows, cols = _pair_indices(d)
-    re = theta[:, d::2]
-    im = theta[:, d + 1 :: 2]
+    re = theta[:, 0::2]
+    im = theta[:, 1::2]
     h[:, rows, cols] = re - 1j * im
     h[:, cols, rows] = re + 1j * im
     w, v = np.linalg.eigh(h)
@@ -219,32 +220,23 @@ def unitaries_from_params(theta: np.ndarray, d: int) -> np.ndarray:
 
 
 def _basis_objective(rho: DensityMatrix, objective: str, maximize: bool):
-    """Batch objective over generator coefficients, plus its parameter count."""
+    """Batch objective over coefficient rows, the row length, and rows -> (u_a, u_b)."""
     m, n = rho.dims
     flat = _index_masks(m, n)[objective]
     weights = -flat if maximize else flat  # a maximum is the minimum of the negated sum
     vary_a, vary_b = _VARIED_SIDES[objective]
-    na = m * m if vary_a else 0
-    nb = n * n if vary_b else 0
+    na = m * m - m if vary_a else 0
+    nb = n * n - n if vary_b else 0
     mat = rho.mat
     eye_a = np.eye(m, dtype=complex)
     eye_b = np.eye(n, dtype=complex)
 
-    def fn(theta):
-        theta = np.atleast_2d(theta)
+    def side_unitaries(theta):
         bsz = theta.shape[0]
         if vary_a and vary_b and m == n:
             # both sides in one call: rows alternate a, b
             u = unitaries_from_params(theta.reshape(2 * bsz, na), m)
-            ua, ub = u[0::2], u[1::2]
-        else:
-            ua, ub = _side_unitaries(theta, bsz)
-        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(bsz, m * n, m * n)
-        rot = (w @ mat) @ w.conj().swapaxes(-2, -1)
-        p2 = (rot.real**2 + rot.imag**2).reshape(bsz, -1)
-        return p2 @ weights
-
-    def _side_unitaries(theta, bsz):
+            return u[0::2], u[1::2]
         ua = (
             unitaries_from_params(theta[:, :na], m)
             if vary_a
@@ -257,14 +249,22 @@ def _basis_objective(rho: DensityMatrix, objective: str, maximize: bool):
         )
         return ua, ub
 
-    return fn, na + nb, na
+    def fn(theta):  # theta is (rows, na + nb), as minimize_batch passes it
+        bsz = theta.shape[0]
+        ua, ub = side_unitaries(theta)
+        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(bsz, m * n, m * n)
+        rot = (w @ mat) @ w.conj().swapaxes(-2, -1)
+        p2 = (rot.real**2 + rot.imag**2).reshape(bsz, -1)
+        return p2 @ weights
+
+    return fn, na + nb, side_unitaries
 
 
 def _search(rho: DensityMatrix, objective: str, config, maximize: bool) -> BasisOptimum:
     if objective not in OBJECTIVES:
         raise DiscohError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     cfg = config if config is not None else OptimizerConfig()
-    fn, nparams, na = _basis_objective(rho, objective, maximize)
+    fn, nparams, side_unitaries = _basis_objective(rho, objective, maximize)
     starts = np.stack(
         [
             np.random.default_rng(cfg.seed + i).uniform(-np.pi, np.pi, nparams)
@@ -280,19 +280,16 @@ def _search(rho: DensityMatrix, objective: str, config, maximize: bool) -> Basis
     )
     best = int(np.argmin(res.value))
     value = float(res.value[best])
-    m, n = rho.dims
-    vary_a, vary_b = _VARIED_SIDES[objective]
-    theta = res.x[best]
-    ua = unitaries_from_params(theta[None, :na], m)[0] if vary_a else np.eye(m, dtype=complex)
-    ub = unitaries_from_params(theta[None, na:], n)[0] if vary_b else np.eye(n, dtype=complex)
+    ua, ub = side_unitaries(res.x[best : best + 1])
     return BasisOptimum(
         value=-value if maximize else value,
-        basis=LocalBasisPair(ua, ub),
+        basis=LocalBasisPair(ua[0].copy(), ub[0].copy()),
         converged=bool(res.converged[best]),
         iterations=res.iterations,
         evaluations=res.evaluations,
         restart_index=best,
         objective=objective,
+        restarts_at_best=int(np.sum(res.value <= value + cfg.objective_tolerance)),
     )
 
 

@@ -9,7 +9,8 @@ where lmax is the largest eigenvalue.  The symmetric measure is their sum
 (the two minimizations decouple).  The two-sided measure, minimizing the
 single-count off-diagonal sum over product bases, has no closed form and is
 always computed by the basis search; it is bracketed by
-max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba, which DiscordReport asserts.
+max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba, which DiscordReport asserts up
+to the searches' tolerance.
 The numeric routes and discord_report live in measures.py.
 """
 
@@ -22,6 +23,10 @@ from .states import DensityMatrix, bloch_decompose
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
+
+# The searches stop at an objective tolerance (1e-9 by default), so every
+# numeric side of the d_tilde bracket may miss its optimum by that much.
+BRACKET_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,13 @@ class DiscordReport:
         if abs(self.d_sym - (self.d_ab + self.d_ba)) > 1e-12:
             raise ConsistencyError("d_sym must equal d_ab + d_ba")
         if self.d_tilde is not None:
-            if self.d_tilde + 1e-12 < max(self.d_ab, self.d_ba):
+            if self.d_tilde + BRACKET_SLACK < max(self.d_ab, self.d_ba):
                 raise ConsistencyError(
-                    f"two-sided value {self.d_tilde:.3e} below max(d_ab, d_ba)"
+                    f"two-sided value {self.d_tilde:.3e} below max(d_ab, d_ba) - {BRACKET_SLACK:g}"
                 )
-            if self.d_tilde > self.d_sym + 1e-7:
+            if self.d_tilde > self.d_sym + BRACKET_SLACK:
                 raise ConsistencyError(
-                    f"two-sided value {self.d_tilde:.3e} exceeds d_sym + 1e-7"
+                    f"two-sided value {self.d_tilde:.3e} exceeds d_sym + {BRACKET_SLACK:g}"
                 )
 
 

@@ -42,7 +42,8 @@ def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
     nb, n = x0.shape
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     sim[:, 1:][:, np.arange(n), np.arange(n)] += step
-    f = np.asarray(fn(sim.reshape(-1, n)), dtype=float).reshape(nb, n + 1)
+    # n is 0 when a search has nothing to vary (one-level sides): no -1 in the reshape
+    f = np.asarray(fn(sim.reshape(nb * (n + 1), n)), dtype=float).reshape(nb, n + 1)
     evals = nb * (n + 1)
     sim, f = _sorted(sim, f)
     converged = np.zeros(nb, dtype=bool)

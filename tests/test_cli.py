@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from discoh import measures, verify
+from discoh import cli, measures, verify
 from discoh.cli import main
 from discoh.coherence import OptimizerConfig, maximize_over_bases, minimize_over_bases
 from discoh.discord import discord_ab_analytic
@@ -97,6 +97,52 @@ class TestExitCodes:
         code, _, err = run_cli("verify", *argv, capsys=capsys)
         assert code == 1
         assert f"takes no {argv[1]}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eq64", "--restarts", "0"),
+            ("eq64", "--fast"),
+            ("monogamy", "--max-iterations", "1"),
+            ("classical-zero", "--objective-tolerance", "1e-3"),
+            ("corollary1", "--restarts", "4"),
+        ],
+    )
+    def test_verify_search_flag_on_suite_without_search_is_usage_error(
+        self, argv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        code, _, err = run_cli("verify", *argv, capsys=capsys)
+        assert code == 1
+        assert f"takes no {argv[1]}" in err
+
+    def test_verify_seed_is_valid_on_every_suite(self, capsys):
+        code, out, _ = run_cli("verify", "eq64", "--trials", "2", "--seed", "4", capsys=capsys)
+        assert code == 0
+        assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "flags, restarts, max_iterations, tolerance",
+        [
+            ((), 32, 2000, 1e-9),
+            (("--fast",), 8, 2000, 1e-9),
+            (("--fast", "--restarts", "3"), 3, 2000, 1e-9),
+            (("--max-iterations", "50", "--objective-tolerance", "1e-6"), 32, 50, 1e-6),
+        ],
+    )
+    def test_verify_search_flags_reach_the_config(
+        self, flags, restarts, max_iterations, tolerance, capsys, monkeypatch
+    ):
+        seen = {}
+
+        def fake_run_suite(name, trials, tol, seed, workers, **options):
+            seen.update(options)
+            return verify.CampaignResult(name, 1, 0, 0.0, 1e-6, 0.0, 0)
+
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        code, _, _ = run_cli("verify", "theorem5", "--seed", "6", *flags, capsys=capsys)
+        assert code == 0
+        assert seen == {"config": OptimizerConfig(restarts, max_iterations, tolerance, seed=6)}
 
     def test_sweep_has_no_seed(self, capsys):
         assert run_cli("sweep", "--seed", "3", capsys=capsys)[0] == 1
@@ -351,9 +397,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", tuple(verify.SUITES))
     def test_every_suite_runs(self, suite, capsys):
-        code, out, _ = run_cli(
-            "verify", suite, "--trials", "2", "--fast", "--max-iterations", "400", capsys=capsys
-        )
+        searches = "config" in verify.SUITES[suite].options
+        search_flags = ("--fast", "--max-iterations", "400") if searches else ()
+        code, out, _ = run_cli("verify", suite, "--trials", "2", *search_flags, capsys=capsys)
         assert code == 0
         assert f"suite={suite} trials=2 failures=0" in out
 

@@ -1,5 +1,7 @@
 """Coherence accounting tests: fixed-basis sums, rotations, basis search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,9 @@ from discoh.coherence import (
     minimize_over_bases,
     unitaries_from_params,
 )
-from discoh.errors import ConsistencyError, DiscohError, UnitarityError
+from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from discoh.linalg import identity, kron
+from discoh.nonlocality import direction_basis
 from discoh.states import (
     DensityMatrix,
     PureState,
@@ -150,12 +153,16 @@ class TestContributions:
             ClassContributions(0.1, 0.1, 0.0, 0.1, 0.5)
 
 
+def random_phases(d, rng):
+    return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+
+
 class TestUnitaryParameterization:
     @given(st.integers(0, 10**6), st.integers(2, 4))
     @settings(deadline=None, max_examples=30)
     def test_outputs_unitary(self, seed, d):
         rng = np.random.default_rng(seed)
-        theta = rng.uniform(-np.pi, np.pi, size=(5, d * d))
+        theta = rng.uniform(-np.pi, np.pi, size=(5, d * d - d))
         us = unitaries_from_params(theta, d)
         assert us.shape == (5, d, d)
         eye = np.eye(d)
@@ -166,14 +173,14 @@ class TestUnitaryParameterization:
     @settings(deadline=None, max_examples=30)
     def test_qubit_closed_form_matches_general_path(self, seed):
         # d = 2 goes through an explicit 2x2 exponential; compare against
-        # the eigendecomposition route by rebuilding H and exponentiating
+        # the eigendecomposition route on the same off-diagonal H
         rng = np.random.default_rng(seed)
-        theta = rng.uniform(-np.pi, np.pi, size=(1, 4))
+        theta = rng.uniform(-np.pi, np.pi, size=(1, 2))
         u = unitaries_from_params(theta, 2)[0]
         h = np.array(
             [
-                [theta[0, 0], theta[0, 2] - 1j * theta[0, 3]],
-                [theta[0, 2] + 1j * theta[0, 3], theta[0, 1]],
+                [0.0, theta[0, 0] - 1j * theta[0, 1]],
+                [theta[0, 0] + 1j * theta[0, 1], 0.0],
             ]
         )
         w, v = np.linalg.eigh(h)
@@ -181,9 +188,52 @@ class TestUnitaryParameterization:
         assert np.allclose(u, expected, atol=1e-10)
 
     def test_zero_parameters_give_identity(self):
-        for d in (2, 3):
-            u = unitaries_from_params(np.zeros((1, d * d)), d)[0]
+        for d in (2, 3, 4):
+            u = unitaries_from_params(np.zeros((1, d * d - d)), d)[0]
             assert np.allclose(u, np.eye(d), atol=1e-12)
+
+    def test_rejects_a_diagonal(self):
+        with pytest.raises(ShapeError):
+            unitaries_from_params(np.zeros((1, 4)), 2)
+
+    @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    @settings(deadline=None, max_examples=30)
+    def test_class_sums_ignore_diagonal_phases(self, seed, dims):
+        # the reason the search can drop the diagonal of H: U -> D U only
+        # rephases the rotated entries
+        rng = np.random.default_rng(seed)
+        rho = random_mixed(dims, dims[0] * dims[1], seed)
+        u_a = random_unitary(dims[0], seed + 1)
+        u_b = random_unitary(dims[1], seed + 2)
+        base = contributions(rho, LocalBasisPair(u_a, u_b))
+        phased = contributions(
+            rho,
+            LocalBasisPair(random_phases(dims[0], rng) @ u_a, random_phases(dims[1], rng) @ u_b),
+        )
+        for name in OBJECTIVES:
+            assert getattr(phased, name) == pytest.approx(getattr(base, name), abs=1e-12)
+
+    @given(st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=30)
+    def test_two_coefficients_reach_every_qubit_direction(self, seed):
+        # direction_basis(p) for p at polar angle t and azimuth f has rows
+        # (cos t/2, sin t/2 e^{-if}) and (-sin t/2 e^{if}, cos t/2); with
+        # b2 + i b1 = r e^{ia}, exp(i(b1 sx + b2 sy)) has rows
+        # (cos r, sin r e^{ia}) and (-sin r e^{-ia}, cos r), so r = t/2, a = -f
+        rng = np.random.default_rng(seed)
+        rho = random_mixed((2, 2), 4, seed)
+
+        def params(p):
+            t = np.arccos(np.clip(p[2], -1.0, 1.0))
+            f = np.arctan2(p[1], p[0])
+            return np.array([-0.5 * t * np.sin(f), 0.5 * t * np.cos(f)])
+
+        p1, p2 = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        want = contributions(rho, LocalBasisPair(direction_basis(p1), direction_basis(p2)))
+        u = unitaries_from_params(np.stack([params(p1), params(p2)]), 2)
+        got = contributions(rho, LocalBasisPair(u[0], u[1]))
+        for name in OBJECTIVES:
+            assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
 
 
 class TestBasisSearch:
@@ -214,13 +264,20 @@ class TestBasisSearch:
         here = contributions(rho, opt.basis)
         assert here.class1 == pytest.approx(opt.value, abs=1e-9)
 
+    def test_every_restart_reaches_werner_optimum(self):
+        # the Werner class sums are the same along every local direction
+        opt = minimize_over_bases(make_werner(0.6), "class1", FAST)
+        assert opt.restarts_at_best == FAST.restarts
+
     def test_deterministic(self):
-        rho = random_mixed((2, 2), 4, seed=31)
-        a = minimize_over_bases(rho, "class1", OptimizerConfig(restarts=4, seed=5))
-        b = minimize_over_bases(rho, "class1", OptimizerConfig(restarts=4, seed=5))
-        assert a.value == b.value
-        assert np.array_equal(a.basis.u_a, b.basis.u_a)
-        assert a.restart_index == b.restart_index
+        # a one-sided search, and a two-sided one on unequal dims
+        for dims, objective in (((2, 2), "class1"), ((2, 3), "tilde_total")):
+            rho = random_mixed(dims, 4, seed=31)
+            a = minimize_over_bases(rho, objective, OptimizerConfig(restarts=4, seed=5))
+            b = minimize_over_bases(rho, objective, OptimizerConfig(restarts=4, seed=5))
+            assert np.array_equal(a.basis.u_a, b.basis.u_a)
+            assert np.array_equal(a.basis.u_b, b.basis.u_b)
+            assert replace(a, basis=None) == replace(b, basis=None)
 
     def test_seed_changes_search_path(self):
         rho = random_mixed((2, 2), 4, seed=31)
@@ -228,6 +285,15 @@ class TestBasisSearch:
         b = minimize_over_bases(rho, "class1", OptimizerConfig(restarts=2, seed=6))
         # same optimum, generally different evaluation counts
         assert a.value == pytest.approx(b.value, abs=1e-7)
+
+    def test_one_level_sides_leave_nothing_to_search(self):
+        # a one-level side has no off-diagonal generator, so these searches
+        # have no coefficients and return the computational-basis value
+        for dims, objective in (((1, 2), "class1"), ((2, 1), "class2"), ((1, 1), "class3")):
+            rho = random_pure(dims, seed=4).to_density()
+            opt = maximize_over_bases(rho, objective, FAST)
+            assert opt.value == getattr(contributions(rho), objective)
+            assert opt.converged and opt.iterations == 0
 
     def test_unknown_objective(self):
         with pytest.raises(DiscohError):

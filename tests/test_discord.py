@@ -151,6 +151,15 @@ class TestReport:
         with pytest.raises(ConsistencyError):
             DiscordReport(d_ab=0.4, d_ba=0.3, d_sym=0.7, d_tilde=0.1, method="numeric")
 
+    def test_sandwich_allows_search_tolerance(self):
+        # a numeric d_tilde and d_ba both stop within 1e-9 of their optima, so
+        # on a pure state, where they are equal, d_tilde may land just below
+        d_ba = 0.25713304521
+        report = DiscordReport(
+            d_ab=d_ba, d_ba=d_ba, d_sym=2 * d_ba, d_tilde=d_ba - 4e-10, method="numeric"
+        )
+        assert report.d_tilde < max(report.d_ab, report.d_ba)
+
     def test_sum_enforced_at_construction(self):
         with pytest.raises(ConsistencyError):
             DiscordReport(d_ab=0.4, d_ba=0.3, d_sym=0.5, d_tilde=None, method="analytic")
