@@ -67,11 +67,17 @@ def _parse_dims_or_all(text: str):
     return _parse_dims(text)
 
 
-def _trial_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"trials must be at least 1, got {count}")
-    return count
+def _count(what: str):
+    """Parser of a count that must be at least 1."""
+
+    def parse(text: str) -> int:
+        count = int(text)
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {count}")
+        return count
+
+    parse.__name__ = what  # argparse names the type in its "invalid ... value" message
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -237,7 +243,7 @@ def _add_optimizer_flags(parser) -> None:
     )
     parser.add_argument(
         "--objective-tolerance",
-        type=float,
+        type=_finite_float,
         default=None,
         help="stop a restart when its objective spread drops below this (default 1e-9)",
     )
@@ -273,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify", help="randomized verification campaigns")
     p_ve.add_argument("suite", choices=tuple(SUITES))
-    p_ve.add_argument("--trials", type=_trial_count, default=None)
+    p_ve.add_argument("--trials", type=_count("trials"), default=None)
     p_ve.add_argument("--dims", type=_parse_dims_or_all, default=None, help="monogamy, corollary2")
     p_ve.add_argument(
         "--samples", type=int, default=None, help="decompositions per trial (corollary1)"
     )
     p_ve.add_argument("--seed", type=int, default=0)
     p_ve.add_argument("--tol", type=_finite_float, default=None)
-    p_ve.add_argument("--workers", type=int, default=1)
+    p_ve.add_argument("--workers", type=_count("workers"), default=1)
     _add_optimizer_flags(p_ve)
     p_ve.set_defaults(func=cmd_verify, usage_error=p_ve.error)
 

@@ -11,8 +11,12 @@ index families:
 
 `total` is class1 + class2, which counts entries off-diagonal in both
 indices twice.  Extremizing any family over all product bases is done by a
-seeded multi-start simplex search over unitary generator coefficients; all
-restarts advance in lockstep so the objective vectorizes over the batch.
+seeded multi-start simplex search over unitary generator coefficients.
+search_bases takes a list of jobs, each a (state, objective, sense), and
+runs every restart of every job on the same dims and coefficient count as
+rows of one lockstep simplex, so the objective vectorizes over all of them.
+The objective computes each row on its own, so batching changes no row's
+path: a job's result is bit for bit the one it gives when searched alone.
 
 Every family is a sum of squared moduli, and a diagonal phase matrix D only
 rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B leave all
@@ -24,6 +28,7 @@ quotient, so by Hopf-Rinow they reach every class: the search still covers
 every product basis up to phases.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +42,9 @@ UNITARITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
 OBJECTIVES = ("class1", "class2", "class3", "tilde_total", "total")
+
+MIN = "min"
+MAX = "max"
 
 # Which local unitary actually moves each objective.  The sum over a complete
 # local index is basis independent, so one-sided families only vary one side.
@@ -157,8 +165,11 @@ class OptimizerConfig:
             raise DiscohError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise DiscohError("max_iterations must be at least 1")
-        if not self.objective_tolerance > 0.0:
-            raise DiscohError("objective_tolerance must be positive")
+        if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance > 0.0):
+            # an infinite tolerance counts every restart converged before it moves
+            raise DiscohError(
+                f"objective_tolerance must be finite and positive, got {self.objective_tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -219,89 +230,162 @@ def unitaries_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(-2, -1)
 
 
-def _basis_objective(rho: DensityMatrix, objective: str, maximize: bool):
-    """Batch objective over coefficient rows, the row length, and rows -> (u_a, u_b)."""
-    m, n = rho.dims
-    flat = _index_masks(m, n)[objective]
-    weights = -flat if maximize else flat  # a maximum is the minimum of the negated sum
+def _coefficient_split(dims, objective: str) -> tuple[int, int]:
+    """Coefficients a search varies on side A and on side B (a one-level side has none)."""
+    m, n = dims
     vary_a, vary_b = _VARIED_SIDES[objective]
-    na = m * m - m if vary_a else 0
-    nb = n * n - n if vary_b else 0
-    mat = rho.mat
-    eye_a = np.eye(m, dtype=complex)
-    eye_b = np.eye(n, dtype=complex)
+    return (m * m - m if vary_a else 0), (n * n - n if vary_b else 0)
 
-    def side_unitaries(theta):
-        bsz = theta.shape[0]
-        if vary_a and vary_b and m == n:
-            # both sides in one call: rows alternate a, b
+
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """A (1, d, d) identity that broadcasts over rows; read-only, as it is shared."""
+    eye = np.eye(d, dtype=complex)[None]
+    eye.flags.writeable = False
+    return eye
+
+
+def _side_unitaries(theta: np.ndarray, dims, on_a) -> tuple[np.ndarray, np.ndarray]:
+    """(u_a, u_b) per coefficient row of one group; a side that stays put is a
+    (1, d, d) identity, which broadcasts over the rows.
+
+    on_a is None for two-sided rows, whose first m^2 - m coefficients rotate
+    side A and the rest side B; otherwise it says for each row whether its
+    coefficients rotate side A or side B.
+    """
+    m, n = dims
+    bsz, count = theta.shape
+    eye_a, eye_b = _identity(m), _identity(n)
+    if count == 0:
+        return eye_a, eye_b
+    if on_a is None:
+        na = m * m - m
+        if m == n:  # both sides in one call: rows alternate a, b
             u = unitaries_from_params(theta.reshape(2 * bsz, na), m)
             return u[0::2], u[1::2]
-        ua = (
-            unitaries_from_params(theta[:, :na], m)
-            if vary_a
-            else np.broadcast_to(eye_a, (bsz, m, m))
-        )
-        ub = (
-            unitaries_from_params(theta[:, na:], n)
-            if vary_b
-            else np.broadcast_to(eye_b, (bsz, n, n))
-        )
-        return ua, ub
+        return unitaries_from_params(theta[:, :na], m), unitaries_from_params(theta[:, na:], n)
+    if on_a.all():
+        return unitaries_from_params(theta, m), eye_b
+    if not on_a.any():
+        return eye_a, unitaries_from_params(theta, n)
+    # both sides have count coefficients, so m == n
+    u = unitaries_from_params(theta, m)
+    pick = on_a[:, None, None]
+    return np.where(pick, u, eye_a), np.where(pick, eye_a, u)
 
-    def fn(theta):  # theta is (rows, na + nb), as minimize_batch passes it
+
+def _group_objective(jobs, dims, restarts: int):
+    """Objective over the rows of one group, and rows -> (u_a, u_b).
+
+    Row r of the batch searches job r // restarts; minimize_batch passes r
+    as the last column of each row.  Every step works row by row (the class
+    sum too: a matrix-vector product would round each row differently
+    depending on the rows beside it), so a row's value never depends on
+    which other rows share the call.
+    """
+    m, n = dims
+    masks = _index_masks(m, n)
+    mats = np.stack([rho.mat for rho, _, _ in jobs])
+    # a maximum is the minimum of the negated sum
+    weights = np.stack([-masks[obj] if sense == MAX else masks[obj] for _, obj, sense in jobs])
+    splits = [_coefficient_split(dims, obj) for _, obj, _ in jobs]
+    on_a = None if all(splits[0]) else np.array([nb == 0 for _, nb in splits])
+
+    def side_unitaries(theta, job):
+        return _side_unitaries(theta, dims, None if on_a is None else on_a[job])
+
+    def fn(block):
+        theta = block[:, :-1]
+        job = block[:, -1].astype(np.intp) // restarts
         bsz = theta.shape[0]
-        ua, ub = side_unitaries(theta)
-        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(bsz, m * n, m * n)
-        rot = (w @ mat) @ w.conj().swapaxes(-2, -1)
+        ua, ub = side_unitaries(theta, job)
+        # one row when neither side moves: the product then broadcasts over mats[job]
+        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, m * n, m * n)
+        rot = (w @ mats[job]) @ w.conj().swapaxes(-2, -1)
         p2 = (rot.real**2 + rot.imag**2).reshape(bsz, -1)
-        return p2 @ weights
+        return (p2 * weights[job]).sum(axis=1)
 
-    return fn, na + nb, side_unitaries
+    return fn, side_unitaries
 
 
-def _search(rho: DensityMatrix, objective: str, config, maximize: bool) -> BasisOptimum:
-    if objective not in OBJECTIVES:
-        raise DiscohError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    cfg = config if config is not None else OptimizerConfig()
-    fn, nparams, side_unitaries = _basis_objective(rho, objective, maximize)
+def _search_group(jobs, dims, count: int, cfg: OptimizerConfig) -> list[BasisOptimum]:
+    """One lockstep simplex over every restart of every job in the group."""
+    restarts = cfg.restarts
+    fn, side_unitaries = _group_objective(jobs, dims, restarts)
     starts = np.stack(
         [
-            np.random.default_rng(cfg.seed + i).uniform(-np.pi, np.pi, nparams)
-            for i in range(cfg.restarts)
+            np.random.default_rng(cfg.seed + i).uniform(-np.pi, np.pi, count)
+            for i in range(restarts)
         ]
     )
     res = minimize_batch(
         fn,
-        starts,
+        np.tile(starts, (len(jobs), 1)),
         step=0.5,
         tol=cfg.objective_tolerance,
         max_iter=cfg.max_iterations,
     )
-    best = int(np.argmin(res.value))
-    value = float(res.value[best])
-    ua, ub = side_unitaries(res.x[best : best + 1])
-    return BasisOptimum(
-        value=-value if maximize else value,
-        basis=LocalBasisPair(ua[0].copy(), ub[0].copy()),
-        converged=bool(res.converged[best]),
-        iterations=res.iterations,
-        evaluations=res.evaluations,
-        restart_index=best,
-        objective=objective,
-        restarts_at_best=int(np.sum(res.value <= value + cfg.objective_tolerance)),
+    values = res.value.reshape(len(jobs), restarts)
+    best = np.argmin(values, axis=1)
+    first = np.arange(len(jobs)) * restarts
+    ua, ub = (
+        np.broadcast_to(u, (len(jobs), *u.shape[1:]))
+        for u in side_unitaries(res.x[first + best], np.arange(len(jobs)))
     )
+    optima = []
+    for j, (_, objective, sense) in enumerate(jobs):
+        rows = slice(first[j], first[j] + restarts)
+        value = float(values[j, best[j]])
+        optima.append(
+            BasisOptimum(
+                value=-value if sense == MAX else value,
+                basis=LocalBasisPair(ua[j].copy(), ub[j].copy()),
+                converged=bool(res.converged[first[j] + best[j]]),
+                iterations=int(res.row_iterations[rows].max()),
+                evaluations=int(res.row_evaluations[rows].sum()),
+                restart_index=int(best[j]),
+                objective=objective,
+                restarts_at_best=int(np.sum(values[j] <= value + cfg.objective_tolerance)),
+            )
+        )
+    return optima
+
+
+def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptimum]:
+    """Optimum of each (state, objective, sense) job over product bases, in job order.
+
+    Jobs on the same dims that vary the same number of coefficients run as
+    rows of one lockstep simplex, config.restarts rows per job; class1 and
+    class2 share one on square dims.  Each job's BasisOptimum equals, bit
+    for bit, the one it gives when searched alone.
+    """
+    cfg = config if config is not None else OptimizerConfig()
+    groups = {}
+    for index, (rho, objective, sense) in enumerate(jobs):
+        if objective not in OBJECTIVES:
+            raise DiscohError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        if sense not in (MIN, MAX):
+            raise DiscohError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
+        na, nb = _coefficient_split(rho.dims, objective)
+        # a two-sided group never takes a one-sided job: its count is larger
+        groups.setdefault((rho.dims, na + nb), []).append(index)
+    optima = [None] * len(jobs)
+    for (dims, count), members in groups.items():
+        found = _search_group([jobs[i] for i in members], dims, count, cfg)
+        for index, optimum in zip(members, found):
+            optima[index] = optimum
+    return optima
 
 
 def minimize_over_bases(
     rho: DensityMatrix, objective: str, config: OptimizerConfig | None = None
 ) -> BasisOptimum:
     """Smallest value of the chosen class sum over all product bases."""
-    return _search(rho, objective, config, maximize=False)
+    return search_bases([(rho, objective, MIN)], config)[0]
 
 
 def maximize_over_bases(
     rho: DensityMatrix, objective: str = "class3", config: OptimizerConfig | None = None
 ) -> BasisOptimum:
     """Largest value of the chosen class sum over all product bases."""
-    return _search(rho, objective, config, maximize=True)
+    return search_bases([(rho, objective, MAX)], config)[0]

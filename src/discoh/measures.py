@@ -10,15 +10,16 @@ two-qubit closed form, or both:
   chsh, concurrence, monogamy                   closed form only
 
 An evaluation runs each (objective, sense) search at most once, however
-many measures share it.  Searches and closed forms are called through
-this module's names at call time, so the table holds names, not functions.
+many measures share it, and runs all of them in one batched search.
+Searches and closed forms are called through this module's names at call
+time, so the table holds names, not functions.
 """
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coherence import OptimizerConfig, maximize_over_bases, minimize_over_bases
+from .coherence import MAX, MIN, OptimizerConfig, search_bases
 from .discord import ANALYTIC, NUMERIC, DiscordReport, discord_ab_analytic, discord_ba_analytic
 from .entanglement import concurrence_mixed_2q, concurrence_pure, monogamy_check
 from .errors import DiscohError, MixedStateError, UnsupportedDimensionError
@@ -29,9 +30,6 @@ from .states import DensityMatrix, PureState
 AUTO = "auto"
 BOTH = "both"
 METHODS = (AUTO, ANALYTIC, NUMERIC, BOTH)
-
-MIN = "min"
-MAX = "max"
 
 PURITY_PURE_TOL = 1e-8
 
@@ -69,7 +67,7 @@ def _dominant_pure(rho: DensityMatrix) -> PureState:
 
 
 class Evaluation:
-    """Measures of one state under one optimizer config; each search runs once."""
+    """Measures of one state under one optimizer config; its searches run in one batch."""
 
     def __init__(self, rho: DensityMatrix, config: OptimizerConfig | None = None):
         self.rho = rho
@@ -77,7 +75,6 @@ class Evaluation:
         self.two_qubit = rho.dims == (2, 2)
         self.purity = rho.purity()
         self.pure = self.purity >= 1.0 - PURITY_PURE_TOL
-        self._optima = {}
 
     def applies(self, measure: str) -> bool:
         needs = MEASURES[measure].needs
@@ -104,23 +101,36 @@ class Evaluation:
             return [ANALYTIC if self.two_qubit else NUMERIC]
         return [ANALYTIC, NUMERIC] if method == BOTH else [method]
 
-    def search(self, objective: str, sense: str):
-        key = (objective, sense)
-        if key not in self._optima:
-            search = minimize_over_bases if sense == MIN else maximize_over_bases
-            self._optima[key] = search(self.rho, objective, self.config)
-        return self._optima[key]
+    def records(self, requests) -> list[dict]:
+        """Records of (measure, method) requests, in request order.
 
-    def record(self, measure: str, method: str) -> dict:
-        """One output record: a closed form, or the sum of the measure's searched optima."""
-        converged = None
-        if method == NUMERIC:
-            optima = [self.search(*key) for key in MEASURES[measure].searches]
-            value = sum((opt.value for opt in optima[1:]), optima[0].value)  # in table order
-            converged = all(opt.converged for opt in optima)
-            detail = {} if self.two_qubit else {"note": "exploratory"}
-        else:
-            value, detail = self._closed_form(measure)
+        Closed forms run first, so one that cannot run fails before any
+        search; then one batched search finds every (objective, sense)
+        optimum the numeric records need.
+        """
+        closed = {
+            i: self._record(name, method, *self._closed_form(name), None)
+            for i, (name, method) in enumerate(requests)
+            if method != NUMERIC
+        }
+        keys = dict.fromkeys(
+            key for name, method in requests if method == NUMERIC for key in MEASURES[name].searches
+        )
+        found = dict(zip(keys, search_bases([(self.rho, *key) for key in keys], self.config)))
+        return [
+            closed[i] if i in closed else self._searched(name, found)
+            for i, (name, _) in enumerate(requests)
+        ]
+
+    def _searched(self, measure: str, found: dict) -> dict:
+        """The numeric record: the sum of the measure's searched optima."""
+        optima = [found[key] for key in MEASURES[measure].searches]
+        value = sum((opt.value for opt in optima[1:]), optima[0].value)  # in table order
+        detail = {} if self.two_qubit else {"note": "exploratory"}
+        return self._record(measure, NUMERIC, value, detail, all(opt.converged for opt in optima))
+
+    @staticmethod
+    def _record(measure: str, method: str, value, detail: dict, converged) -> dict:
         return {
             "measure": measure,
             "value": float(value),
@@ -191,7 +201,7 @@ def evaluate(
                 )
     for name in measures:
         ev.require(name)
-    return [ev.record(name, route) for name in measures for route in ev.routes(name, method)]
+    return ev.records([(name, route) for name in measures for route in ev.routes(name, method)])
 
 
 def discord_report(
@@ -205,8 +215,10 @@ def discord_report(
         method = ANALYTIC if rho.dims == (2, 2) else NUMERIC
     if method not in (ANALYTIC, NUMERIC):
         raise DiscohError(f"method must be auto, analytic or numeric, got {method!r}")
-    ev = Evaluation(rho, config)
-    d_ab, d_ba, d_sym = (ev.record(name, method) for name in ("d_ab", "d_ba", "d_sym"))
+    requests = [(name, method) for name in ("d_ab", "d_ba", "d_sym")]
+    if include_two_side:
+        requests.append(("d_tilde", NUMERIC))
+    d_ab, d_ba, d_sym, *two_side = Evaluation(rho, config).records(requests)
     if method == ANALYTIC:
         diagnostics = {
             "direction_a": np.asarray(d_ab["detail"]["direction"]),
@@ -216,9 +228,8 @@ def discord_report(
         diagnostics = {"converged_a": d_ab["converged"], "converged_b": d_ba["converged"]}
     d_tilde = None
     if include_two_side:
-        two_side = ev.record("d_tilde", NUMERIC)
-        d_tilde = two_side["value"]
-        diagnostics["converged_two_side"] = two_side["converged"]
+        d_tilde = two_side[0]["value"]
+        diagnostics["converged_two_side"] = two_side[0]["converged"]
     return DiscordReport(
         d_ab=d_ab["value"],
         d_ba=d_ba["value"],

@@ -6,6 +6,12 @@ terminates when the spread of objective values over its simplex drops below
 the tolerance; the whole loop stops when every row terminated or the
 iteration cap is reached.  Given the same inputs the result is bit-identical
 between runs.
+
+Each row's path depends only on its own objective values.  So when the
+objective computes every row without looking at the others, a row follows
+the same path, and counts the same iterations and evaluations, whichever
+other rows share the batch: a batch of many independent searches gives each
+search what it would give alone.
 """
 
 from dataclasses import dataclass
@@ -23,8 +29,10 @@ class SimplexResult:
     x: np.ndarray  # (B, n) best vertex per row
     value: np.ndarray  # (B,) objective at the best vertex
     converged: np.ndarray  # (B,) bool, tolerance met within the budget
-    iterations: int
-    evaluations: int
+    iterations: int  # lockstep iterations, the most any row ran
+    evaluations: int  # objective evaluations over all rows
+    row_iterations: np.ndarray  # (B,) iterations each row was still active
+    row_evaluations: np.ndarray  # (B,) objective evaluations of each row
 
 
 def _sorted(sim, f):
@@ -36,15 +44,23 @@ def _sorted(sim, f):
 def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
     """Minimize fn over each row of x0 independently.
 
-    fn maps a (K, n) parameter block to K objective values and must be pure.
+    fn maps a (K, n + 1) block to K objective values and must be pure: each
+    row holds n coefficients followed by the index of its row in x0, so one
+    objective can serve rows of different searches.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     nb, n = x0.shape
+    index = np.arange(nb, dtype=float)
+
+    def call(x, rows):
+        return np.asarray(fn(np.concatenate((x, index[rows, None]), axis=1)), dtype=float)
+
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     sim[:, 1:][:, np.arange(n), np.arange(n)] += step
-    # n is 0 when a search has nothing to vary (one-level sides): no -1 in the reshape
-    f = np.asarray(fn(sim.reshape(nb * (n + 1), n)), dtype=float).reshape(nb, n + 1)
-    evals = nb * (n + 1)
+    # one vertex per call keeps the objective's temporaries at nb rows
+    f = np.stack([call(sim[:, j], slice(None)) for j in range(n + 1)], axis=1)
+    row_it = np.zeros(nb, dtype=np.int64)
+    row_ev = np.full(nb, n + 1, dtype=np.int64)
     sim, f = _sorted(sim, f)
     converged = np.zeros(nb, dtype=bool)
     it = 0
@@ -54,14 +70,15 @@ def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
         if act.size == 0:
             break
         it += 1
+        row_it[act] += 1
+        row_ev[act] += 1
         s = sim[act]
         fs = f[act]
         cen = s[:, :-1].mean(axis=1)
         xw = s[:, -1]
         fw = fs[:, -1]
         xr = cen + ALPHA * (cen - xw)
-        fr = np.asarray(fn(xr), dtype=float)
-        evals += act.size
+        fr = call(xr, act)
 
         # a reflection that lands between the best and second-worst vertex
         # is taken as it is; every other row tries one second point
@@ -80,8 +97,8 @@ def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
                 ce + GAMMA * (ce - xwe),
                 np.where(sel_i[:, None], ce - BETA * (ce - xwe), ce + BETA * (xre - ce)),
             )
-            f2 = np.asarray(fn(x2), dtype=float)
-            evals += second.size
+            f2 = call(x2, act[second])
+            row_ev[act[second]] += 1
 
             take = np.where(sel_e, f2 < fre, np.where(sel_i, f2 < fwe, f2 <= fre))
             rows = second[take]
@@ -97,11 +114,13 @@ def minimize_batch(fn, x0, step=0.5, tol=1e-9, max_iter=2000) -> SimplexResult:
         fs[:, -1] = new_f
         if shrink.size:
             s[shrink, 1:] = s[shrink, :1] + DELTA * (s[shrink, 1:] - s[shrink, :1])
-            fnew = np.asarray(fn(s[shrink, 1:].reshape(-1, n)), dtype=float)
+            fnew = call(s[shrink, 1:].reshape(-1, n), np.repeat(act[shrink], n))
             fs[shrink, 1:] = fnew.reshape(shrink.size, n)
-            evals += shrink.size * n
+            row_ev[act[shrink]] += n
 
         s, fs = _sorted(s, fs)
         sim[act] = s
         f[act] = fs
-    return SimplexResult(sim[:, 0].copy(), f[:, 0].copy(), converged, it, evals)
+    return SimplexResult(
+        sim[:, 0].copy(), f[:, 0].copy(), converged, it, int(row_ev.sum()), row_it, row_ev
+    )

@@ -1,12 +1,14 @@
 """Randomized verification campaigns over the measure implementations.
 
-Each campaign draws trial states deterministically (trial i uses base seed
+Each campaign draws trial inputs deterministically (trial i uses base seed
 plus i), measures a deviation per trial, and reports the failure count
-against a tolerance.  Trials are independent, so distributing them over a
-process pool gives the same result as running serially.
+against a tolerance.  The basis searches of a block of trials run as one
+batched search (coherence.search_bases), whose results do not depend on
+what else shares the batch.  A serial run is one block; with workers, each
+worker takes a contiguous block of trials, and pooled and serial runs give
+identical results, bit for bit.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
@@ -15,12 +17,20 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import OptimizerConfig, minimize_over_bases
+from .coherence import MAX, MIN, OptimizerConfig, search_bases
 from .discord import discord_ab_analytic, discord_ba_analytic
 from .errors import DiscohError
 from .entanglement import concurrence_pure, corollary1_check, monogamy_check
-from .nonlocality import chsh_violation, v_measures_analytic, v_measures_numeric
-from .states import bloch_decompose, make_werner, random_classical, random_mixed, random_pure
+from .nonlocality import chsh_violation, v_measures_analytic
+from .states import (
+    DensityMatrix,
+    PureState,
+    bloch_decompose,
+    make_werner,
+    random_classical,
+    random_mixed,
+    random_pure,
+)
 
 TWO_QUBIT_DIMS = (2, 2)
 MONOGAMY_DIMS = ((2, 2), (2, 3), (3, 3), (4, 4))
@@ -54,16 +64,33 @@ class CampaignResult:
         )
 
 
-def _map_trials(trial_fn, trials: int, workers: int) -> list[float]:
-    if workers <= 1:
-        return [trial_fn(i) for i in range(trials)]
-    with get_context("spawn").Pool(workers) as pool:
-        return pool.map(trial_fn, range(trials), chunksize=max(1, trials // (workers * 4)))
+def _deviations(name: str, seed: int, options: dict, config, start: int, stop: int) -> list[float]:
+    """Deviations of trials start..stop-1, all their searches run as one batch."""
+    suite = SUITES[name]
+    inputs = [suite.draw(i, seed, **options) for i in range(start, stop)]
+    jobs = []
+    if suite.searches:  # a pure input is searched as its density matrix
+        states = [x.to_density() if isinstance(x, PureState) else x for x in inputs]
+        jobs = [(rho, *key) for rho in states for key in suite.searches]
+    optima = search_bases(jobs, config)
+    k = len(suite.searches)
+    return [suite.deviation(x, optima[j * k : (j + 1) * k]) for j, x in enumerate(inputs)]
 
 
-def _run(suite: str, trial_fn, trials: int, tol: float, workers: int) -> CampaignResult:
+def _run(
+    suite: str, trials: int, tol: float, seed: int, workers: int, options: dict, config
+) -> CampaignResult:
     start = perf_counter()
-    devs = np.asarray(_map_trials(trial_fn, trials, workers), dtype=float)
+    # contiguous blocks of trials, one per worker
+    count = min(workers, trials)
+    cuts = [trials * k // count for k in range(count + 1)]
+    blocks = [(suite, seed, options, config, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    if len(blocks) == 1:
+        parts = [_deviations(*blocks[0])]
+    else:
+        with get_context("spawn").Pool(len(blocks)) as pool:
+            parts = pool.starmap(_deviations, blocks)
+    devs = np.asarray([dev for part in parts for dev in part], dtype=float)
     failures = int(np.sum(~(devs <= tol)))  # NaN counts as failure
     worst = int(np.argmax(devs))  # a NaN trial is the worst
     return CampaignResult(
@@ -71,35 +98,51 @@ def _run(suite: str, trial_fn, trials: int, tol: float, workers: int) -> Campaig
     )
 
 
-# Trial i of every suite draws its state from seed + i; suites that take
+# Trial i of every suite draws its input from seed + i; suites that take
 # dims cycle through them by trial index.
 
 
-def _monogamy_trial(i: int, seed: int, dims) -> float:
-    psi = random_pure(dims[i % len(dims)], seed + i)
+def _pure(i: int, seed: int, dims) -> PureState:
+    return random_pure(dims[i % len(dims)], seed + i)
+
+
+def _mixed(i: int, seed: int) -> DensityMatrix:
+    return random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
+
+
+def _classical(i: int, seed: int) -> DensityMatrix:
+    return random_classical(TWO_QUBIT_DIMS, seed + i)
+
+
+def _mixed_with_samples(i: int, seed: int, samples: int):
+    """corollary1_check's arguments: the state, its sample count and sampling seed."""
+    return _mixed(i, seed), samples, seed + i
+
+
+# Deviations from the claim, from a trial's input and its optima (in the
+# order of the suite's searches).
+
+
+def _monogamy_deviation(psi, optima) -> float:
     return abs(monogamy_check(psi, check=False).residual)
 
 
-def _closed_form_trial(i: int, seed: int, config: OptimizerConfig) -> float:
-    rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
-    dev_a = abs(discord_ab_analytic(rho)[0] - minimize_over_bases(rho, "class1", config).value)
-    dev_b = abs(discord_ba_analytic(rho)[0] - minimize_over_bases(rho, "class2", config).value)
+def _closed_form_deviation(rho, optima) -> float:
+    d_ab, d_ba = optima
+    dev_a = abs(discord_ab_analytic(rho)[0] - d_ab.value)
+    dev_b = abs(discord_ba_analytic(rho)[0] - d_ba.value)
     return max(dev_a, dev_b)
 
 
-def _class3_extrema_trial(i: int, seed: int, config: OptimizerConfig) -> float:
-    rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
+def _class3_extrema_deviation(rho, optima) -> float:
+    low, high = optima
     v_an, vt_an = v_measures_analytic(rho)
-    low, high = v_measures_numeric(rho, config)
     return max(abs(v_an - low.value), abs(vt_an - high.value))
 
 
-def _pure_discord_trial(i: int, seed: int, dims, config: OptimizerConfig) -> float:
-    psi = random_pure(dims[i % len(dims)], seed + i)
+def _pure_discord_deviation(psi, optima) -> float:
     c2 = concurrence_pure(psi) ** 2
-    rho = psi.to_density()
-    d_ab = minimize_over_bases(rho, "class1", config).value
-    d_ba = minimize_over_bases(rho, "class2", config).value
+    d_ab, d_ba = (opt.value for opt in optima)
     return max(
         abs(d_ab + d_ba - c2),
         abs(d_ab - c2 / 2.0),
@@ -107,29 +150,25 @@ def _pure_discord_trial(i: int, seed: int, dims, config: OptimizerConfig) -> flo
     )
 
 
-def _sum_rule_trial(i: int, seed: int) -> float:
-    rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
+def _sum_rule_deviation(rho, optima) -> float:
     v, vt = v_measures_analytic(rho)
     t = bloch_decompose(rho).T
     return abs((v + vt) * 4.0 - float(np.sum(t * t)))
 
 
-def _mixed_bound_trial(i: int, seed: int, samples: int) -> float:
-    rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
-    lhs, rhs_samples, _ = corollary1_check(rho, samples, seed + i)
+def _mixed_bound_deviation(args, optima) -> float:
+    lhs, rhs_samples, _ = corollary1_check(*args)
     return max(0.0, lhs - min(rhs_samples))
 
 
-def _classical_zero_trial(i: int, seed: int) -> float:
-    rho = random_classical(TWO_QUBIT_DIMS, seed + i)
+def _classical_zero_deviation(rho, optima) -> float:
     return discord_ab_analytic(rho)[0] + discord_ba_analytic(rho)[0]
 
 
-def _sandwich_trial(i: int, seed: int, config: OptimizerConfig) -> float:
-    rho = random_mixed(TWO_QUBIT_DIMS, 4, seed + i)
+def _sandwich_deviation(rho, optima) -> float:
     d_ab = discord_ab_analytic(rho)[0]
     d_ba = discord_ba_analytic(rho)[0]
-    d_tilde = minimize_over_bases(rho, "tilde_total", config).value
+    d_tilde = optima[0].value
     low_violation = max(0.0, max(d_ab, d_ba) - d_tilde)
     high_violation = max(0.0, d_tilde - (d_ab + d_ba))
     return max(low_violation, high_violation)
@@ -137,26 +176,43 @@ def _sandwich_trial(i: int, seed: int, config: OptimizerConfig) -> float:
 
 @dataclass(frozen=True)
 class Suite:
-    """One campaign: its trial, default size and tolerance, and the options it takes."""
+    """One campaign: how a trial draws its input, the searches it needs, how it
+    measures its deviation, its default size and tolerance, and its options."""
 
-    trial: Callable[..., float]  # trial(i, seed, **options) -> deviation from the claim
+    draw: Callable[..., object]  # draw(i, seed, **options but config) -> trial i's input
+    searches: tuple[tuple[str, str], ...]  # (objective, sense) optima of each input
+    deviation: Callable[..., float]  # deviation(input, optima) -> deviation from the claim
     trials: int
     tol: float
     options: dict  # option name ("dims", "samples" or "config") -> default
 
 
 _SEARCH = {"config": OptimizerConfig()}
+_ONE_SIDED = (("class1", MIN), ("class2", MIN))
 
 # Cheapest first, the order scripts/random_state_campaign.py runs them in.
 SUITES = {
-    "monogamy": Suite(_monogamy_trial, 1000, 1e-10, {"dims": MONOGAMY_DIMS}),
-    "eq64": Suite(_sum_rule_trial, 500, 1e-10, {}),
-    "classical-zero": Suite(_classical_zero_trial, 100, 1e-9, {}),
-    "analytic-vs-numeric": Suite(_closed_form_trial, 200, 1e-6, _SEARCH),
-    "corollary1": Suite(_mixed_bound_trial, 200, 1e-9, {"samples": 64}),
-    "two-side-sandwich": Suite(_sandwich_trial, 100, 1e-6, _SEARCH),
-    "corollary2": Suite(_pure_discord_trial, 100, 1e-6, {"dims": PURE_DISCORD_DIMS, **_SEARCH}),
-    "theorem5": Suite(_class3_extrema_trial, 200, 1e-6, _SEARCH),
+    "monogamy": Suite(_pure, (), _monogamy_deviation, 1000, 1e-10, {"dims": MONOGAMY_DIMS}),
+    "eq64": Suite(_mixed, (), _sum_rule_deviation, 500, 1e-10, {}),
+    "classical-zero": Suite(_classical, (), _classical_zero_deviation, 100, 1e-9, {}),
+    "analytic-vs-numeric": Suite(_mixed, _ONE_SIDED, _closed_form_deviation, 200, 1e-6, _SEARCH),
+    "corollary1": Suite(
+        _mixed_with_samples, (), _mixed_bound_deviation, 200, 1e-9, {"samples": 64}
+    ),
+    "two-side-sandwich": Suite(
+        _mixed, (("tilde_total", MIN),), _sandwich_deviation, 100, 1e-6, _SEARCH
+    ),
+    "corollary2": Suite(
+        _pure,
+        _ONE_SIDED,
+        _pure_discord_deviation,
+        100,
+        1e-6,
+        {"dims": PURE_DISCORD_DIMS, **_SEARCH},
+    ),
+    "theorem5": Suite(
+        _mixed, (("class3", MIN), ("class3", MAX)), _class3_extrema_deviation, 200, 1e-6, _SEARCH
+    ),
 }
 
 
@@ -174,13 +230,16 @@ def run_suite(
     tol = suite.tol if tol is None else tol
     if trials < 1:
         raise DiscohError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise DiscohError(f"workers must be at least 1, got {workers}")
     if not math.isfinite(tol):
         raise DiscohError(f"tol must be finite, got {tol}")
     kw = dict(suite.options)
     kw.update((key, value) for key, value in options.items() if value is not None)
     if "dims" in kw:
         kw["dims"] = tuple(tuple(d) for d in kw["dims"])
-    result = _run(name, functools.partial(suite.trial, seed=seed, **kw), trials, tol, workers)
+    config = kw.pop("config", None)
+    result = _run(name, trials, tol, seed, workers, kw, config)
     worst_dims = kw["dims"][result.worst_trial % len(kw["dims"])] if "dims" in kw else None
     return replace(result, worst_seed=seed + result.worst_trial, worst_dims=worst_dims)
 

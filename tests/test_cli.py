@@ -73,7 +73,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--trials", "0"), ("--trials", "-3"), ("--tol", "nan"), ("--tol", "inf")],
+        [
+            ("--trials", "0"),
+            ("--trials", "-3"),
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+            ("--workers", "0"),
+            ("--workers", "-2"),
+        ],
     )
     def test_verify_that_checks_nothing_is_usage_error(self, flags, capsys, monkeypatch):
         monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
@@ -81,6 +88,24 @@ class TestExitCodes:
         assert code == 1
         assert "PASS" not in out
         assert flags[0] in err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_objective_tolerance_is_usage_error(
+        self, tolerance, tmp_path, capsys, monkeypatch
+    ):
+        # an infinite tolerance counts every restart converged at its starting simplex
+        path = tmp_path / "w.json"
+        run_cli("generate", "werner", "--p", "0.8", "-o", str(path), capsys=capsys)
+        monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        flags = ("--objective-tolerance", tolerance)
+        for argv in (
+            ("analyze", str(path), "--measures", "d_ab,d_tilde", "--method", "both", *flags),
+            ("verify", "theorem5", "--trials", "2", *flags),
+        ):
+            code, out, err = run_cli(*argv, capsys=capsys)
+            assert code == 1
+            assert "--objective-tolerance" in err and out == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -262,23 +287,21 @@ class TestAnalyze:
 
     def test_both_runs_each_search_once(self, bell_path, capsys, monkeypatch):
         calls = []
-        for name, sense in (("minimize_over_bases", "min"), ("maximize_over_bases", "max")):
-            search = getattr(measures, name)
+        search = measures.search_bases
 
-            def counted(rho, objective, config, search=search, sense=sense):
-                calls.append((objective, sense))
-                return search(rho, objective, config)
+        def counted(jobs, config):
+            calls.append([(objective, sense) for _, objective, sense in jobs])
+            return search(jobs, config)
 
-            monkeypatch.setattr(measures, name, counted)
+        monkeypatch.setattr(measures, "search_bases", counted)
         code, out, _ = run_cli(
             "analyze", bell_path, "--method", "both", "--format", "json", "--fast", capsys=capsys
         )
         assert code == 0
-        assert len(calls) == 5
-        assert set(calls) == {
-            ("class1", "min"), ("class2", "min"), ("tilde_total", "min"),
-            ("class3", "min"), ("class3", "max"),
-        }  # fmt: skip
+        assert calls == [
+            [("class1", "min"), ("class2", "min"), ("tilde_total", "min"),
+             ("class3", "min"), ("class3", "max")],
+        ]  # fmt: skip
         numeric = [r["measure"] for r in json.loads(out)["records"] if r["method"] == "numeric"]
         assert numeric == ["d_ab", "d_ba", "d_sym", "d_tilde", "v", "v_tilde"]
 
@@ -305,7 +328,7 @@ class TestAnalyze:
     def test_analytic_beyond_two_qubits_fails_before_searching(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "psi.json"
         run_cli("generate", "random-pure", "--dims", "2x3", "--seed", "9", "-o", str(path), capsys=capsys)
-        monkeypatch.setattr(measures, "minimize_over_bases", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))
         code, _, err = run_cli(
             "analyze", str(path), "--measures", "concurrence,d_tilde", "--method", "both", capsys=capsys
         )

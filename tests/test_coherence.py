@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discoh.coherence import (
+    MAX,
+    MIN,
     OBJECTIVES,
     BasisOptimum,
     ClassContributions,
@@ -17,8 +19,11 @@ from discoh.coherence import (
     identity_basis,
     maximize_over_bases,
     minimize_over_bases,
+    search_bases,
     unitaries_from_params,
 )
+from discoh import coherence
+from discoh.coherence import _coefficient_split, _group_objective
 from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from discoh.linalg import identity, kron
 from discoh.nonlocality import direction_basis
@@ -305,11 +310,94 @@ class TestBasisSearch:
         with pytest.raises(DiscohError):
             OptimizerConfig(objective_tolerance=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+    def test_config_rejects_non_finite_tolerance(self, tolerance):
+        # an infinite tolerance would count every restart converged at its start
+        with pytest.raises(DiscohError, match="finite"):
+            OptimizerConfig(objective_tolerance=tolerance)
+
     def test_non_square_dims_search(self):
         rho = random_pure((2, 3), seed=2).to_density()
         opt = minimize_over_bases(rho, "class1", FAST)
         assert isinstance(opt, BasisOptimum)
         assert 0.0 <= opt.value <= contributions(rho).class1 + 1e-9
+
+
+BATCH_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (1, 2))
+
+
+def every_job(seed):
+    """Every objective and sense on a random mixed state of each of BATCH_DIMS."""
+    jobs = []
+    for k, dims in enumerate(BATCH_DIMS):
+        rho = random_mixed(dims, dims[0] * dims[1], seed + k)
+        jobs += [(rho, objective, sense) for objective in OBJECTIVES for sense in (MIN, MAX)]
+    return jobs
+
+
+def assert_same_optimum(a, b):
+    assert np.array_equal(a.basis.u_a, b.basis.u_a)
+    assert np.array_equal(a.basis.u_b, b.basis.u_b)
+    assert replace(a, basis=None) == replace(b, basis=None)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OptimizerConfig(restarts=1, seed=2),
+            OptimizerConfig(restarts=8, seed=0, max_iterations=150),
+        ],
+    )
+    def test_batched_equals_alone(self, config):
+        jobs = every_job(40)
+        order = np.random.default_rng(1).permutation(len(jobs))  # groups interleave
+        jobs = [jobs[i] for i in order]
+        batched = search_bases(jobs, config)
+        for job, got in zip(jobs, batched):
+            assert got.objective == job[1]
+            assert_same_optimum(got, search_bases([job], config)[0])
+        if config.max_iterations == 150:
+            assert any(opt.iterations == 150 and not opt.converged for opt in batched)
+
+    def test_one_simplex_per_dims_and_coefficient_count(self, monkeypatch):
+        # class1 and class2 share a simplex on square dims, whatever their sense
+        sizes = []
+        simplex = coherence.minimize_batch
+
+        def counted(fn, x0, *args, **kwargs):
+            sizes.append(len(x0))
+            return simplex(fn, x0, *args, **kwargs)
+
+        monkeypatch.setattr(coherence, "minimize_batch", counted)
+        qubits, qutrits = random_mixed((2, 2), 4, seed=3), random_mixed((3, 3), 9, seed=3)
+        jobs = [(qubits, "class1", MIN), (qutrits, "class2", MIN), (qubits, "class2", MAX)]
+        jobs += [(qutrits, "class1", MIN), (qubits, "class3", MIN)]
+        search_bases(jobs, OptimizerConfig(restarts=2, max_iterations=5))
+        assert sizes == [4, 4, 2]
+
+    def test_unknown_sense(self):
+        with pytest.raises(DiscohError):
+            search_bases([(make_werner(0.3), "class1", "sideways")], FAST)
+
+    def test_objective_values_do_not_depend_on_the_rest_of_the_block(self):
+        # a block gives each row the value it gets in any split of the block
+        restarts = 3
+        jobs_by_group = {}
+        for job in every_job(60):
+            dims = job[0].dims
+            jobs_by_group.setdefault((dims, sum(_coefficient_split(dims, job[1]))), []).append(job)
+        rng = np.random.default_rng(5)
+        for (dims, count), jobs in jobs_by_group.items():
+            fn, _ = _group_objective(jobs, dims, restarts)
+            rows = len(jobs) * restarts
+            index = rng.permutation(np.repeat(np.arange(rows), 4)).astype(float)
+            block = np.column_stack((rng.uniform(-np.pi, np.pi, (index.size, count)), index))
+            whole = fn(block)
+            cuts = np.sort(rng.choice(np.arange(1, index.size), size=6, replace=False))
+            for parts in (np.split(np.arange(index.size), cuts), np.arange(index.size)[:, None]):
+                split = np.concatenate([fn(block[part]) for part in parts])
+                assert np.array_equal(split, whole), (dims, count)
 
 
 def test_objectives_tuple_is_public_contract():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discoh import measures
 from discoh.coherence import OptimizerConfig, minimize_over_bases
 from discoh.discord import (
     DiscordReport,
@@ -141,6 +142,25 @@ class TestReport:
         rep = discord_report(make_werner(0.3), method="numeric", config=FAST)
         assert rep.method == "numeric"
         assert rep.d_ab == pytest.approx(0.045, abs=1e-6)
+
+    def test_analytic_beyond_two_qubits_fails_before_searching(self, monkeypatch):
+        monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))
+        rho = random_pure((2, 3), seed=9).to_density()
+        with pytest.raises(UnsupportedDimensionError, match="d_ab closed form"):
+            discord_report(rho, method="analytic", config=FAST)
+
+    def test_numeric_report_runs_one_batched_search(self, monkeypatch):
+        calls = []
+        search = measures.search_bases
+
+        def counted(jobs, config):
+            calls.append([objective for _, objective, _ in jobs])
+            return search(jobs, config)
+
+        monkeypatch.setattr(measures, "search_bases", counted)
+        rep = discord_report(make_werner(0.3), method="numeric", config=FAST)
+        assert calls == [["class1", "class2", "tilde_total"]]
+        assert rep.d_sym == rep.d_ab + rep.d_ba
 
     def test_auto_beyond_two_qubits_goes_numeric(self):
         rho = random_pure((2, 3), seed=9).to_density()

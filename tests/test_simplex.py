@@ -6,12 +6,16 @@ import pytest
 from discoh.simplex import minimize_batch
 
 
-def quadratic_bowl(x):
-    # min 0 at the per-row target encoded in the last coordinate pattern
-    return np.sum((x - 1.5) ** 2, axis=-1)
+# minimize_batch hands the objective each row's coefficients followed by
+# the row's index in x0
 
 
-def rosenbrock(x):
+def quadratic_bowl(block):
+    return np.sum((block[:, :-1] - 1.5) ** 2, axis=-1)
+
+
+def rosenbrock(block):
+    x = block[:, :-1]
     a = x[..., 0]
     b = x[..., 1]
     return (1 - a) ** 2 + 100 * (b - a**2) ** 2
@@ -52,14 +56,30 @@ def test_iteration_cap():
 
 
 def test_batch_matches_individual_runs():
-    # lockstep batching must not change any row's trajectory
+    # lockstep batching must not change any row's trajectory or its counts
     rng = np.random.default_rng(7)
     x0 = rng.uniform(-3, 3, size=(6, 3))
     batch = minimize_batch(quadratic_bowl, x0.copy(), tol=1e-12, max_iter=600)
+    assert batch.iterations == batch.row_iterations.max()
+    assert batch.evaluations == batch.row_evaluations.sum()
     for i in range(6):
         solo = minimize_batch(quadratic_bowl, x0[i : i + 1].copy(), tol=1e-12, max_iter=600)
-        assert batch.value[i] == pytest.approx(solo.value[0], abs=1e-12)
-        assert np.allclose(batch.x[i], solo.x[0], atol=1e-9)
+        assert batch.value[i] == solo.value[0]
+        assert np.array_equal(batch.x[i], solo.x[0])
+        assert batch.converged[i] == solo.converged[0]
+        assert batch.row_iterations[i] == solo.iterations
+        assert batch.row_evaluations[i] == solo.evaluations
+
+
+def test_objective_sees_each_rows_index():
+    # row i minimizes its distance to the point (i, i)
+    def bowl_at_index(block):
+        return np.sum((block[:, :-1] - block[:, -1:]) ** 2, axis=-1)
+
+    x0 = np.zeros((4, 2))
+    res = minimize_batch(bowl_at_index, x0, tol=1e-14, max_iter=2000)
+    assert np.all(res.converged)
+    assert np.allclose(res.x, np.arange(4)[:, None], atol=1e-5)
 
 
 def test_input_not_mutated():

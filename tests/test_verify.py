@@ -3,6 +3,7 @@ acceptance suite)."""
 
 import pytest
 
+from discoh import verify
 from discoh.coherence import OptimizerConfig
 from discoh.errors import DiscohError
 from discoh.verify import (
@@ -13,6 +14,7 @@ from discoh.verify import (
     monogamy_campaign,
     pure_state_discord_campaign,
     run_suite,
+    two_side_sandwich_campaign,
     werner_sweep,
 )
 
@@ -48,6 +50,57 @@ def test_workers_agree_with_serial():
     parallel = monogamy_campaign(trials=12, seed=3, workers=2)
     assert serial.max_deviation == parallel.max_deviation
     assert serial.failures == parallel.failures
+
+
+def test_pooled_search_campaign_agrees_with_serial():
+    # each worker batches the searches of its own block of trials
+    config = OptimizerConfig(restarts=4, seed=0)
+    serial = two_side_sandwich_campaign(trials=4, seed=2, config=config, workers=1)
+    pooled = two_side_sandwich_campaign(trials=4, seed=2, config=config, workers=2)
+    for field in ("failures", "max_deviation", "worst_trial", "worst_seed"):
+        assert getattr(pooled, field) == getattr(serial, field)
+
+
+class FakeContext:
+    """Stands in for a spawn context: records the pool size, runs blocks in process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, blocks):
+        return [fn(*block) for block in blocks]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers, trials, size", [(8, 3, 3), (2, 5, 2), (3, 9, 3)])
+    def test_pool_never_outnumbers_the_blocks(self, workers, trials, size, monkeypatch):
+        context = FakeContext()
+        monkeypatch.setattr(verify, "get_context", lambda method: context)
+        pooled = class3_sum_rule_campaign(trials=trials, seed=6, workers=workers)
+        assert context.sizes == [size]
+        serial = class3_sum_rule_campaign(trials=trials, seed=6)
+        assert pooled.max_deviation == serial.max_deviation
+        assert pooled.worst_trial == serial.worst_trial
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(verify, "get_context", lambda m: pytest.fail("a pool started"))
+        assert class3_sum_rule_campaign(trials=3, workers=1).passed
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker(self, workers, monkeypatch):
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(DiscohError, match="workers"):
+            run_suite("monogamy", 3, workers=workers)
 
 
 class TestWorstTrial:
