@@ -1,8 +1,8 @@
 """Sweep the Werner family and locate the CHSH violation threshold.
 
-Prints the closed-form measure table as CSV and reports the bracketing rows
-around the onset.  With --check, the basis search re-derives a few rows
-numerically as a spot check.
+Prints the closed-form measure table as CSV, through `discoh sweep`, and
+reports the bracketing rows around the onset.  With --check, the basis
+search re-derives a few rows numerically as a spot check.
 """
 
 import argparse
@@ -11,8 +11,7 @@ import sys
 import numpy as np
 
 from discoh import OptimizerConfig, make_werner, minimize_over_bases, werner_sweep
-
-COLUMNS = ("p", "d_ab", "d_ba", "d_sym", "v", "v_tilde", "horodecki_m", "chsh_violated")
+from discoh.cli import main as discoh_main
 
 
 def main() -> int:
@@ -22,14 +21,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    code = discoh_main(["sweep", "--steps", str(args.steps)])  # the `discoh sweep` CSV
+    if code:
+        return code
     rows = werner_sweep(0.0, 1.0, args.steps)
-    print(",".join(COLUMNS))
-    for row in rows:
-        cells = [
-            format(row[c], ".12g") if not isinstance(row[c], bool) else str(row[c]).lower()
-            for c in COLUMNS
-        ]
-        print(",".join(cells))
 
     onset = next((i for i, r in enumerate(rows) if r["chsh_violated"]), None)
     if onset is None:

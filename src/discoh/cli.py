@@ -110,7 +110,7 @@ def _parse_measures(text: str) -> list[str]:
 _SUITE_OPTION_FLAGS = {
     "dims": ("dims",),
     "samples": ("samples",),
-    "config": ("restarts", "max_iterations", "objective_tolerance", "fast"),
+    "config": ("restarts", "max_iterations", "objective_tolerance"),
 }
 
 
@@ -118,11 +118,9 @@ def _optimizer_config(args) -> OptimizerConfig:
     """OptimizerConfig from the search flags; a flag left unset takes the config default."""
     given = {
         name: getattr(args, name)
-        for name in ("restarts", "max_iterations", "objective_tolerance")
+        for name in _SUITE_OPTION_FLAGS["config"]
         if getattr(args, name) is not None
     }
-    if args.fast and args.restarts is None:
-        given["restarts"] = 8
     return OptimizerConfig(seed=args.seed, **given)
 
 
@@ -246,12 +244,6 @@ def _add_optimizer_flags(parser) -> None:
         type=_finite_float,
         default=None,
         help="stop a restart when its objective spread drops below this (default 1e-9)",
-    )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        default=None,
-        help="use 8 restarts; quicker, weaker global-search guarantee",
     )
 
 

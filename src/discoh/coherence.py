@@ -10,13 +10,22 @@ index families:
   tilde_total  every off-diagonal entry (k, k') != (l, l') counted once
 
 `total` is class1 + class2, which counts entries off-diagonal in both
-indices twice.  Extremizing any family over all product bases is done by a
-seeded multi-start simplex search over unitary generator coefficients.
+indices twice.  One row-wise kernel rotates a state and squares the moduli;
+contributions and the basis search both go through it.
+
+Extremizing any family over all product bases is done by a seeded
+multi-start simplex search over unitary generator coefficients.
 search_bases takes a list of jobs, each a (state, objective, sense), and
-runs every restart of every job on the same dims and coefficient count as
+runs every restart of every job on the same dims and the same sides as
 rows of one lockstep simplex, so the objective vectorizes over all of them.
 The objective computes each row on its own, so batching changes no row's
 path: a job's result is bit for bit the one it gives when searched alone.
+
+class2 of a state is class1 of the state with its parties exchanged, so a
+class2 job is searched as a class1 job on the swapped state (the same
+n^2 - n coefficients and seeded starts) and its basis is swapped back.  A
+one-sided search therefore only ever rotates side A; the sum over the
+other, complete local index is basis independent.
 
 Every family is a sum of squared moduli, and a diagonal phase matrix D only
 rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B leave all
@@ -29,14 +38,14 @@ every product basis up to phases.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from .simplex import minimize_batch
-from .states import DensityMatrix, _check_finite
+from .states import DensityMatrix, _check_finite, swap_subsystems
 
 UNITARITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
@@ -46,15 +55,9 @@ OBJECTIVES = ("class1", "class2", "class3", "tilde_total", "total")
 MIN = "min"
 MAX = "max"
 
-# Which local unitary actually moves each objective.  The sum over a complete
-# local index is basis independent, so one-sided families only vary one side.
-_VARIED_SIDES = {
-    "class1": (True, False),
-    "class2": (False, True),
-    "class3": (True, True),
-    "tilde_total": (True, True),
-    "total": (True, True),
-}
+# Rows of one simplex call at most; a larger group runs in consecutive chunks
+# of whole jobs, which changes no result, as rows do not see each other.
+MAX_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,19 @@ def _index_masks(m: int, n: int) -> dict:
     }
 
 
+def _rotated_moduli(u_a: np.ndarray, u_b: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Squared moduli of (u_a x u_b) rho (u_a x u_b)^dag, one flat row per rho.
+
+    u_a (rows, m, m), u_b (rows, n, n) and mats (rows, mn, mn), where an
+    operand with one row broadcasts.  Each row is computed on its own, so
+    its result never depends on the rows beside it.
+    """
+    m, n = u_a.shape[-1], u_b.shape[-1]
+    w = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, m * n, m * n)
+    rot = (w @ mats) @ w.conj().swapaxes(-2, -1)
+    return (rot.real**2 + rot.imag**2).reshape(len(rot), -1)
+
+
 def contributions(rho: DensityMatrix, basis: LocalBasisPair | None = None) -> ClassContributions:
     """All class sums of rho in the given product basis (default computational)."""
     m, n = rho.dims
@@ -130,19 +146,12 @@ def contributions(rho: DensityMatrix, basis: LocalBasisPair | None = None) -> Cl
         raise ShapeError(
             f"basis shapes {basis.u_a.shape} / {basis.u_b.shape} do not match dims {rho.dims}"
         )
-    w = np.kron(basis.u_a, basis.u_b)
-    rot = w @ rho.mat @ w.conj().T
-    p2 = (rot.real**2 + rot.imag**2).ravel()
+    p2 = _rotated_moduli(basis.u_a[None], basis.u_b[None], rho.mat[None])
     masks = _index_masks(m, n)
-    c1 = float(p2 @ masks["class1"])
-    c2 = float(p2 @ masks["class2"])
-    return ClassContributions(
-        class1=c1,
-        class2=c2,
-        class3=float(p2 @ masks["class3"]),
-        tilde_total=float(p2 @ masks["tilde_total"]),
-        total=c1 + c2,
+    c1, c2, c3, tilde = (
+        float((p2 * masks[name]).sum()) for name in ("class1", "class2", "class3", "tilde_total")
     )
+    return ClassContributions(class1=c1, class2=c2, class3=c3, tilde_total=tilde, total=c1 + c2)
 
 
 @dataclass(frozen=True)
@@ -230,88 +239,54 @@ def unitaries_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(-2, -1)
 
 
-def _coefficient_split(dims, objective: str) -> tuple[int, int]:
-    """Coefficients a search varies on side A and on side B (a one-level side has none)."""
+def _coefficient_count(dims, objective: str) -> int:
+    """Coefficients a search varies: side A's for class1, both sides' for a
+    two-sided objective (a one-level side has none)."""
     m, n = dims
-    vary_a, vary_b = _VARIED_SIDES[objective]
-    return (m * m - m if vary_a else 0), (n * n - n if vary_b else 0)
-
-
-@lru_cache(maxsize=None)
-def _identity(d: int) -> np.ndarray:
-    """A (1, d, d) identity that broadcasts over rows; read-only, as it is shared."""
-    eye = np.eye(d, dtype=complex)[None]
-    eye.flags.writeable = False
-    return eye
-
-
-def _side_unitaries(theta: np.ndarray, dims, on_a) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, u_b) per coefficient row of one group; a side that stays put is a
-    (1, d, d) identity, which broadcasts over the rows.
-
-    on_a is None for two-sided rows, whose first m^2 - m coefficients rotate
-    side A and the rest side B; otherwise it says for each row whether its
-    coefficients rotate side A or side B.
-    """
-    m, n = dims
-    bsz, count = theta.shape
-    eye_a, eye_b = _identity(m), _identity(n)
-    if count == 0:
-        return eye_a, eye_b
-    if on_a is None:
-        na = m * m - m
-        if m == n:  # both sides in one call: rows alternate a, b
-            u = unitaries_from_params(theta.reshape(2 * bsz, na), m)
-            return u[0::2], u[1::2]
-        return unitaries_from_params(theta[:, :na], m), unitaries_from_params(theta[:, na:], n)
-    if on_a.all():
-        return unitaries_from_params(theta, m), eye_b
-    if not on_a.any():
-        return eye_a, unitaries_from_params(theta, n)
-    # both sides have count coefficients, so m == n
-    u = unitaries_from_params(theta, m)
-    pick = on_a[:, None, None]
-    return np.where(pick, u, eye_a), np.where(pick, eye_a, u)
+    return m * m - m + (0 if objective == "class1" else n * n - n)
 
 
 def _group_objective(jobs, dims, restarts: int):
     """Objective over the rows of one group, and rows -> (u_a, u_b).
 
-    Row r of the batch searches job r // restarts; minimize_batch passes r
-    as the last column of each row.  Every step works row by row (the class
-    sum too: a matrix-vector product would round each row differently
+    A group is all class1 jobs, which rotate side A only, or all two-sided
+    jobs, whose first m^2 - m coefficients rotate side A and the rest side
+    B.  Row r of the batch searches job r // restarts; minimize_batch passes
+    r as the last column of each row.  Every step works row by row (the
+    class sum too: a matrix-vector product would round each row differently
     depending on the rows beside it), so a row's value never depends on
     which other rows share the call.
     """
     m, n = dims
+    one_sided = jobs[0][1] == "class1"
     masks = _index_masks(m, n)
     mats = np.stack([rho.mat for rho, _, _ in jobs])
     # a maximum is the minimum of the negated sum
     weights = np.stack([-masks[obj] if sense == MAX else masks[obj] for _, obj, sense in jobs])
-    splits = [_coefficient_split(dims, obj) for _, obj, _ in jobs]
-    on_a = None if all(splits[0]) else np.array([nb == 0 for _, nb in splits])
+    eye_b = np.eye(n, dtype=complex)[None]  # broadcasts over the rows
+    na = m * m - m
 
-    def side_unitaries(theta, job):
-        return _side_unitaries(theta, dims, None if on_a is None else on_a[job])
+    def side_unitaries(theta):
+        if one_sided:
+            return unitaries_from_params(theta, m), eye_b
+        if m == n:  # both sides in one call: rows alternate a, b
+            u = unitaries_from_params(theta.reshape(2 * len(theta), na), m)
+            return u[0::2], u[1::2]
+        return unitaries_from_params(theta[:, :na], m), unitaries_from_params(theta[:, na:], n)
 
     def fn(block):
-        theta = block[:, :-1]
         job = block[:, -1].astype(np.intp) // restarts
-        bsz = theta.shape[0]
-        ua, ub = side_unitaries(theta, job)
-        # one row when neither side moves: the product then broadcasts over mats[job]
-        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, m * n, m * n)
-        rot = (w @ mats[job]) @ w.conj().swapaxes(-2, -1)
-        p2 = (rot.real**2 + rot.imag**2).reshape(bsz, -1)
-        return (p2 * weights[job]).sum(axis=1)
+        ua, ub = side_unitaries(block[:, :-1])
+        return (_rotated_moduli(ua, ub, mats[job]) * weights[job]).sum(axis=1)
 
     return fn, side_unitaries
 
 
-def _search_group(jobs, dims, count: int, cfg: OptimizerConfig) -> list[BasisOptimum]:
+def _search_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
     """One lockstep simplex over every restart of every job in the group."""
     restarts = cfg.restarts
     fn, side_unitaries = _group_objective(jobs, dims, restarts)
+    count = _coefficient_count(dims, jobs[0][1])
     starts = np.stack(
         [
             np.random.default_rng(cfg.seed + i).uniform(-np.pi, np.pi, count)
@@ -329,8 +304,7 @@ def _search_group(jobs, dims, count: int, cfg: OptimizerConfig) -> list[BasisOpt
     best = np.argmin(values, axis=1)
     first = np.arange(len(jobs)) * restarts
     ua, ub = (
-        np.broadcast_to(u, (len(jobs), *u.shape[1:]))
-        for u in side_unitaries(res.x[first + best], np.arange(len(jobs)))
+        np.broadcast_to(u, (len(jobs), *u.shape[1:])) for u in side_unitaries(res.x[first + best])
     )
     optima = []
     for j, (_, objective, sense) in enumerate(jobs):
@@ -351,29 +325,45 @@ def _search_group(jobs, dims, count: int, cfg: OptimizerConfig) -> list[BasisOpt
     return optima
 
 
-def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptimum]:
-    """Optimum of each (state, objective, sense) job over product bases, in job order.
+def _groups(jobs) -> dict:
+    """Jobs by (dims, one-sided) of the simplex that runs them, as (index, job).
 
-    Jobs on the same dims that vary the same number of coefficients run as
-    rows of one lockstep simplex, config.restarts rows per job; class1 and
-    class2 share one on square dims.  Each job's BasisOptimum equals, bit
-    for bit, the one it gives when searched alone.
+    A class2 job is listed as class1 of the party-swapped state.
     """
-    cfg = config if config is not None else OptimizerConfig()
     groups = {}
     for index, (rho, objective, sense) in enumerate(jobs):
         if objective not in OBJECTIVES:
             raise DiscohError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
         if sense not in (MIN, MAX):
             raise DiscohError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
-        na, nb = _coefficient_split(rho.dims, objective)
-        # a two-sided group never takes a one-sided job: its count is larger
-        groups.setdefault((rho.dims, na + nb), []).append(index)
+        if objective == "class2":
+            rho, objective = swap_subsystems(rho), "class1"
+        key = (rho.dims, objective == "class1")
+        groups.setdefault(key, []).append((index, (rho, objective, sense)))
+    return groups
+
+
+def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptimum]:
+    """Optimum of each (state, objective, sense) job over product bases, in job order.
+
+    Jobs on the same dims that rotate the same sides run as rows of one
+    lockstep simplex, config.restarts rows per job and at most MAX_ROWS
+    rows a call; a class2 job runs as class1 of the swapped state, so it
+    shares a simplex with the class1 jobs on the swapped dims.  Each job's
+    BasisOptimum equals, bit for bit, the one it gives when searched alone.
+    """
+    cfg = config if config is not None else OptimizerConfig()
+    per_call = max(1, MAX_ROWS // cfg.restarts)
     optima = [None] * len(jobs)
-    for (dims, count), members in groups.items():
-        found = _search_group([jobs[i] for i in members], dims, count, cfg)
-        for index, optimum in zip(members, found):
-            optima[index] = optimum
+    for (dims, _), members in _groups(jobs).items():
+        for start in range(0, len(members), per_call):
+            chunk = members[start : start + per_call]
+            found = _search_group([job for _, job in chunk], dims, cfg)
+            for (index, _), optimum in zip(chunk, found):
+                if jobs[index][1] == "class2":  # swap the basis back to the job's parties
+                    basis = LocalBasisPair(optimum.basis.u_b, optimum.basis.u_a)
+                    optimum = replace(optimum, basis=basis, objective="class2")
+                optima[index] = optimum
     return optima
 
 

@@ -119,17 +119,19 @@ def corollary1_check(
     weighted = v[:, keep] * np.sqrt(w[keep])[None, :]
     rank = weighted.shape[1]
     rng = np.random.default_rng(seed)
-    rhs_samples = []
-    for sample in range(decomposition_samples):
-        mix = np.eye(rank, dtype=complex) if sample == 0 else haar_unitary(rank, rng)
-        vectors = weighted @ mix.T
-        rhs = 0.0
-        for j in range(rank):
-            q = float(np.vdot(vectors[:, j], vectors[:, j]).real)
-            if q < 1e-14:
-                continue
-            phi = PureState(rho.dims, vectors[:, j] / np.sqrt(q))
-            rhs += q * script_d(phi.to_density())
-        rhs_samples.append(rhs)
+    mixes = np.stack(
+        [
+            np.eye(rank, dtype=complex) if sample == 0 else haar_unitary(rank, rng)
+            for sample in range(decomposition_samples)
+        ]
+    )
+    # member j of decomposition s is column j of weighted @ mix.T, weight q its squared norm
+    probs = np.abs(weighted[None] @ mixes.swapaxes(1, 2)) ** 2  # (samples, 4, rank)
+    q = probs.sum(axis=1)
+    members = q >= 1e-14
+    p = (probs / np.where(members, q, 1.0)[:, None, :]).reshape(-1, 2, 2, rank)
+    # d_total of a pure member: 2 - sum p_A^2 - sum p_B^2, from its marginals
+    d_total = 2.0 - (p.sum(axis=2) ** 2).sum(axis=1) - (p.sum(axis=1) ** 2).sum(axis=1)
+    rhs_samples = np.where(members, q * d_total, 0.0).sum(axis=1).tolist()
     holds = all(lhs <= rhs + 1e-9 for rhs in rhs_samples)
     return lhs, rhs_samples, holds

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import BasisOptimum, LocalBasisPair, OptimizerConfig
-from .coherence import maximize_over_bases, minimize_over_bases
+from .coherence import LocalBasisPair
+from .coherence import minimize_over_bases  # noqa: F401 (bench/test_bench.py reads it here)
 from .errors import ConsistencyError, NormalizationError, ShapeError
 from .states import DensityMatrix, bloch_decompose
 
@@ -97,16 +97,6 @@ def direction_basis(p) -> np.ndarray:
 
 def basis_pair_from_directions(p1, p2) -> LocalBasisPair:
     return LocalBasisPair(direction_basis(p1), direction_basis(p2))
-
-
-def v_measures_numeric(
-    rho: DensityMatrix, config: OptimizerConfig | None = None
-) -> tuple[BasisOptimum, BasisOptimum]:
-    """Extremes of the anti-diagonal class sum by basis search (min, max)."""
-    return (
-        minimize_over_bases(rho, "class3", config),
-        maximize_over_bases(rho, "class3", config),
-    )
 
 
 def chsh_violation(rho: DensityMatrix) -> tuple[bool, float]:

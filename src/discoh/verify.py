@@ -219,7 +219,14 @@ SUITES = {
 def run_suite(
     name: str, trials=None, tol=None, seed: int = 0, workers: int = 1, **options
 ) -> CampaignResult:
-    """Run one suite of SUITES; trials, tol or an option left None takes the suite's default."""
+    """Run one suite of SUITES; trials, tol or an option left None takes the suite's default.
+
+    With workers > 1 the trials run in a pool of processes started by the
+    spawn method, which imports the caller's main module again in every
+    child: a script that passes workers > 1 needs an
+    `if __name__ == "__main__":` guard around its top-level code, or each
+    child fails as it starts a pool of its own and the call never returns.
+    """
     if name not in SUITES:
         raise DiscohError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     suite = SUITES[name]

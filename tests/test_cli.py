@@ -127,7 +127,7 @@ class TestExitCodes:
         "argv",
         [
             ("eq64", "--restarts", "0"),
-            ("eq64", "--fast"),
+            ("eq64", "--max-iterations", "5"),
             ("monogamy", "--max-iterations", "1"),
             ("classical-zero", "--objective-tolerance", "1e-3"),
             ("corollary1", "--restarts", "4"),
@@ -150,8 +150,8 @@ class TestExitCodes:
         "flags, restarts, max_iterations, tolerance",
         [
             ((), 32, 2000, 1e-9),
-            (("--fast",), 8, 2000, 1e-9),
-            (("--fast", "--restarts", "3"), 3, 2000, 1e-9),
+            (("--restarts", "8"), 8, 2000, 1e-9),
+            (("--restarts", "3", "--objective-tolerance", "1e-9"), 3, 2000, 1e-9),
             (("--max-iterations", "50", "--objective-tolerance", "1e-6"), 32, 50, 1e-6),
         ],
     )
@@ -230,7 +230,7 @@ class TestAnalyze:
         assert rec["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_measures_on_bell(self, bell_path, capsys):
-        code, out, _ = run_cli("analyze", bell_path, "--format", "json", "--fast", capsys=capsys)
+        code, out, _ = run_cli("analyze", bell_path, "--format", "json", "--restarts", "8", capsys=capsys)
         assert code == 0
         values = {r["measure"]: r for r in json.loads(out)["records"]}
         assert values["v"]["value"] == pytest.approx(0.25, abs=1e-12)
@@ -243,7 +243,7 @@ class TestAnalyze:
     def test_maximally_mixed_all_zero(self, tmp_path, capsys):
         path = tmp_path / "mm.json"
         run_cli("generate", "werner", "--p", "0", "-o", str(path), capsys=capsys)
-        code, out, _ = run_cli("analyze", str(path), "--format", "json", "--fast", capsys=capsys)
+        code, out, _ = run_cli("analyze", str(path), "--format", "json", "--restarts", "8", capsys=capsys)
         assert code == 0
         for rec in json.loads(out)["records"]:
             if rec["measure"] == "chsh":
@@ -295,7 +295,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(measures, "search_bases", counted)
         code, out, _ = run_cli(
-            "analyze", bell_path, "--method", "both", "--format", "json", "--fast", capsys=capsys
+            "analyze", bell_path, "--method", "both", "--format", "json", "--restarts", "8", capsys=capsys
         )
         assert code == 0
         assert calls == [
@@ -308,7 +308,7 @@ class TestAnalyze:
     def test_default_on_qudit_pure_state(self, tmp_path, capsys):
         path = tmp_path / "psi.json"
         run_cli("generate", "random-pure", "--dims", "2x3", "--seed", "9", "-o", str(path), capsys=capsys)
-        code, out, _ = run_cli("analyze", str(path), "--format", "json", "--fast", capsys=capsys)
+        code, out, _ = run_cli("analyze", str(path), "--format", "json", "--restarts", "8", capsys=capsys)
         assert code == 0
         records = json.loads(out)["records"]
         names = [r["measure"] for r in records]
@@ -341,7 +341,7 @@ class TestAnalyze:
     def test_byte_deterministic_output(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         run_cli("generate", "random-mixed", "--dims", "2x2", "--seed", "2", "-o", str(path), capsys=capsys)
-        args = ("analyze", str(path), "--method", "both", "--format", "csv", "--fast")
+        args = ("analyze", str(path), "--method", "both", "--format", "csv", "--restarts", "8")
         _, out1, _ = run_cli(*args, capsys=capsys)
         _, out2, _ = run_cli(*args, capsys=capsys)
         assert out1 == out2
@@ -421,16 +421,19 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suite", tuple(verify.SUITES))
     def test_every_suite_runs(self, suite, capsys):
         searches = "config" in verify.SUITES[suite].options
-        search_flags = ("--fast", "--max-iterations", "400") if searches else ()
+        search_flags = ("--restarts", "8", "--max-iterations", "400") if searches else ()
         code, out, _ = run_cli("verify", suite, "--trials", "2", *search_flags, capsys=capsys)
         assert code == 0
         assert f"suite={suite} trials=2 failures=0" in out
 
-    def test_fast_flag(self, capsys):
-        code, out, _ = run_cli(
+    def test_fast_flag(self, capsys, monkeypatch):
+        # there is no --fast (--restarts 8 says the same): a usage error before any trial
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        code, out, err = run_cli(
             "verify", "analytic-vs-numeric", "--trials", "3", "--fast", capsys=capsys
         )
-        assert code == 0
+        assert code == 1 and out == ""
+        assert "--fast" in err
 
 
 def test_console_script_installed():

@@ -23,7 +23,7 @@ from discoh.coherence import (
     unitaries_from_params,
 )
 from discoh import coherence
-from discoh.coherence import _coefficient_split, _group_objective
+from discoh.coherence import _coefficient_count, _group_objective, _groups
 from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from discoh.linalg import identity, kron
 from discoh.nonlocality import direction_basis
@@ -264,10 +264,18 @@ class TestBasisSearch:
         assert opt.value == pytest.approx(0.5, abs=1e-7)
 
     def test_optimum_attained_by_reported_basis(self):
-        rho = random_mixed((2, 2), 4, seed=23)
-        opt = minimize_over_bases(rho, "class1", FAST)
-        here = contributions(rho, opt.basis)
-        assert here.class1 == pytest.approx(opt.value, abs=1e-9)
+        # a class2 basis is found on the swapped state and must be swapped back
+        jobs = [
+            (random_mixed(dims, 4, seed=23), objective, sense)
+            for dims in ((2, 2), (2, 3), (3, 2), (3, 3))
+            for objective in OBJECTIVES
+            for sense in (MIN, MAX)
+        ]
+        config = OptimizerConfig(restarts=4, seed=0, max_iterations=300)
+        for (rho, objective, sense), opt in zip(jobs, search_bases(jobs, config)):
+            assert opt.objective == objective
+            here = getattr(contributions(rho, opt.basis), objective)
+            assert here == pytest.approx(opt.value, abs=1e-12), (rho.dims, objective, sense)
 
     def test_every_restart_reaches_werner_optimum(self):
         # the Werner class sums are the same along every local direction
@@ -376,6 +384,23 @@ class TestBatchedSearch:
         search_bases(jobs, OptimizerConfig(restarts=2, max_iterations=5))
         assert sizes == [4, 4, 2]
 
+    def test_row_cap_splits_a_group_without_changing_results(self, monkeypatch):
+        jobs = every_job(70)
+        config = OptimizerConfig(restarts=3, seed=1, max_iterations=100)
+        whole = search_bases(jobs, config)
+        sizes = []
+        simplex = coherence.minimize_batch
+
+        def counted(fn, x0, *args, **kwargs):
+            sizes.append(len(x0))
+            return simplex(fn, x0, *args, **kwargs)
+
+        monkeypatch.setattr(coherence, "minimize_batch", counted)
+        monkeypatch.setattr(coherence, "MAX_ROWS", config.restarts)  # one job a call
+        for a, b in zip(whole, search_bases(jobs, config)):
+            assert_same_optimum(a, b)
+        assert sizes == [config.restarts] * len(jobs)
+
     def test_unknown_sense(self):
         with pytest.raises(DiscohError):
             search_bases([(make_werner(0.3), "class1", "sideways")], FAST)
@@ -383,12 +408,10 @@ class TestBatchedSearch:
     def test_objective_values_do_not_depend_on_the_rest_of_the_block(self):
         # a block gives each row the value it gets in any split of the block
         restarts = 3
-        jobs_by_group = {}
-        for job in every_job(60):
-            dims = job[0].dims
-            jobs_by_group.setdefault((dims, sum(_coefficient_split(dims, job[1]))), []).append(job)
         rng = np.random.default_rng(5)
-        for (dims, count), jobs in jobs_by_group.items():
+        for (dims, _), members in _groups(every_job(60)).items():
+            jobs = [job for _, job in members]
+            count = _coefficient_count(dims, jobs[0][1])
             fn, _ = _group_objective(jobs, dims, restarts)
             rows = len(jobs) * restarts
             index = rng.permutation(np.repeat(np.arange(rows), 4)).astype(float)

@@ -14,8 +14,16 @@ from discoh.entanglement import (
     script_d,
 )
 from discoh.errors import UnsupportedDimensionError
-from discoh.linalg import partial_trace
-from discoh.states import DensityMatrix, PureState, make_bell, make_werner, random_mixed, random_pure
+from discoh.linalg import hermitian_eigen, partial_trace
+from discoh.states import (
+    DensityMatrix,
+    PureState,
+    haar_unitary,
+    make_bell,
+    make_werner,
+    random_mixed,
+    random_pure,
+)
 
 
 def amplitudes(*entries):
@@ -150,3 +158,28 @@ class TestDecompositionBound:
         rho = random_mixed((2, 2), 4, seed)
         lhs, rhs_samples, holds = corollary1_check(rho, decomposition_samples=16, seed=seed)
         assert holds
+
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    @settings(deadline=None, max_examples=20)
+    def test_right_sides_match_a_state_per_member(self, seed, rank):
+        # reference: build each member as a state and take its d_total
+        rho = random_mixed((2, 2), rank, seed)
+        _, rhs_samples, _ = corollary1_check(rho, decomposition_samples=8, seed=seed)
+        w, v = hermitian_eigen(rho.mat)
+        keep = w > 1e-12
+        weighted = v[:, keep] * np.sqrt(w[keep])[None, :]
+        k = weighted.shape[1]
+        rng = np.random.default_rng(seed)
+        want = []
+        for sample in range(8):
+            mix = np.eye(k, dtype=complex) if sample == 0 else haar_unitary(k, rng)
+            vectors = weighted @ mix.T
+            rhs = 0.0
+            for j in range(k):
+                q = float(np.vdot(vectors[:, j], vectors[:, j]).real)
+                if q < 1e-14:
+                    continue
+                phi = PureState(rho.dims, vectors[:, j] / np.sqrt(q))
+                rhs += q * script_d(phi.to_density())
+            want.append(rhs)
+        assert np.allclose(rhs_samples, want, rtol=0.0, atol=1e-12)

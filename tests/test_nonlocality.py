@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discoh.coherence import OptimizerConfig, contributions
+from discoh.coherence import MAX, MIN, OptimizerConfig, contributions, search_bases
 from discoh.errors import NormalizationError, UnsupportedDimensionError
 from discoh.linalg import identity
 from discoh.nonlocality import (
@@ -14,7 +14,6 @@ from discoh.nonlocality import (
     correlation_spectrum,
     direction_basis,
     v_measures_analytic,
-    v_measures_numeric,
     v_objective_bloch,
 )
 from discoh.states import (
@@ -143,18 +142,22 @@ class TestDirectionBasis:
         assert np.allclose(bloch, p, atol=1e-10)
 
 
+def v_searched(rho, cfg):
+    return search_bases([(rho, "class3", MIN), (rho, "class3", MAX)], cfg)
+
+
 class TestNumericMeasures:
     def test_matches_analytic(self):
         cfg = OptimizerConfig(restarts=8, seed=0)
         rho = random_mixed((2, 2), 4, seed=3)
         v_an, vt_an = v_measures_analytic(rho)
-        low, high = v_measures_numeric(rho, cfg)
+        low, high = v_searched(rho, cfg)
         assert low.value == pytest.approx(v_an, abs=1e-6)
         assert high.value == pytest.approx(vt_an, abs=1e-6)
 
     def test_maximally_mixed(self):
         cfg = OptimizerConfig(restarts=4, seed=0)
-        low, high = v_measures_numeric(DensityMatrix((2, 2), identity(4) / 4), cfg)
+        low, high = v_searched(DensityMatrix((2, 2), identity(4) / 4), cfg)
         assert low.value == pytest.approx(0.0, abs=1e-9)
         assert high.value == pytest.approx(0.0, abs=1e-9)
 

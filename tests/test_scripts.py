@@ -25,3 +25,15 @@ def test_campaign_script_takes_only_a_finite_positive_scale(scale, monkeypatch, 
         script.main()
     assert exc.value.code == 2
     assert "--scale" in capsys.readouterr().err
+
+
+def test_werner_script_prints_the_sweep_command_csv(monkeypatch, capsys):
+    from discoh.cli import main
+
+    assert main(["sweep", "--steps", "51"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["werner_sweep.py", "--steps", "51"])
+    assert load_script("werner_sweep").main() == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    assert want.count("\n") == 52 and "# onset between" in captured.err
