@@ -237,13 +237,19 @@ def cmd_generate(args) -> int:
 def _add_optimizer_flags(parser) -> None:
     parser.add_argument("--restarts", type=int, default=None, help="search restarts (default 32)")
     parser.add_argument(
-        "--max-iterations", type=int, default=None, help="iteration cap per restart (default 2000)"
+        "--max-iterations",
+        type=int,
+        default=None,
+        help="cap per restart: Jacobi sweeps for d_ab, d_ba, d_sym; simplex iterations "
+        "for d_tilde, v, v_tilde (default 2000)",
     )
     parser.add_argument(
         "--objective-tolerance",
         type=_finite_float,
         default=None,
-        help="stop a restart when its objective spread drops below this (default 1e-9)",
+        help="stop a restart when one Jacobi sweep moves its objective by at most this "
+        "(d_ab, d_ba, d_sym) or its simplex's objective spread drops to this "
+        "(d_tilde, v, v_tilde) (default 1e-9)",
     )
 
 

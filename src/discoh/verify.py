@@ -88,8 +88,18 @@ def _run(
     if len(blocks) == 1:
         parts = [_deviations(*blocks[0])]
     else:
-        with get_context("spawn").Pool(len(blocks)) as pool:
-            parts = pool.starmap(_deviations, blocks)
+        # imported here, so that a run without a pool does not pay for the import
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(len(blocks), mp_context=get_context("spawn")) as pool:
+                parts = list(pool.map(_deviations, *zip(*blocks)))
+        except BrokenProcessPool as exc:
+            raise DiscohError(
+                "a campaign worker process died; a script that runs campaigns with "
+                "workers > 1 needs an `if __name__ == \"__main__\":` guard around its "
+                "top-level code, since each worker imports the script again"
+            ) from exc
     devs = np.asarray([dev for part in parts for dev in part], dtype=float)
     failures = int(np.sum(~(devs <= tol)))  # NaN counts as failure
     worst = int(np.argmax(devs))  # a NaN trial is the worst
@@ -224,8 +234,9 @@ def run_suite(
     With workers > 1 the trials run in a pool of processes started by the
     spawn method, which imports the caller's main module again in every
     child: a script that passes workers > 1 needs an
-    `if __name__ == "__main__":` guard around its top-level code, or each
-    child fails as it starts a pool of its own and the call never returns.
+    `if __name__ == "__main__":` guard around its top-level code.  Without
+    one, each child fails as it starts a pool of its own, and the call
+    raises DiscohError naming the missing guard.
     """
     if name not in SUITES:
         raise DiscohError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -23,7 +23,7 @@ from discoh.coherence import (
     unitaries_from_params,
 )
 from discoh import coherence
-from discoh.coherence import _coefficient_count, _group_objective, _groups
+from discoh.coherence import _group_objective, _groups
 from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from discoh.linalg import identity, kron
 from discoh.nonlocality import direction_basis
@@ -35,6 +35,7 @@ from discoh.states import (
     random_mixed,
     random_pure,
     random_unitary,
+    schmidt_decompose,
 )
 
 FAST = OptimizerConfig(restarts=8, seed=0)
@@ -349,6 +350,24 @@ def assert_same_optimum(a, b):
     assert replace(a, basis=None) == replace(b, basis=None)
 
 
+def count_engine_calls(monkeypatch):
+    """Rows of each simplex call and jobs of each Jacobi call, as lists filled in later."""
+    simplex_rows, jacobi_jobs = [], []
+    simplex, jacobi = coherence.minimize_batch, coherence._jacobi_group
+
+    def counted_simplex(fn, x0, *args, **kwargs):
+        simplex_rows.append(len(x0))
+        return simplex(fn, x0, *args, **kwargs)
+
+    def counted_jacobi(jobs, *args):
+        jacobi_jobs.append(len(jobs))
+        return jacobi(jobs, *args)
+
+    monkeypatch.setattr(coherence, "minimize_batch", counted_simplex)
+    monkeypatch.setattr(coherence, "_jacobi_group", counted_jacobi)
+    return simplex_rows, jacobi_jobs
+
+
 class TestBatchedSearch:
     @pytest.mark.parametrize(
         "config",
@@ -369,49 +388,42 @@ class TestBatchedSearch:
             assert any(opt.iterations == 150 and not opt.converged for opt in batched)
 
     def test_one_simplex_per_dims_and_coefficient_count(self, monkeypatch):
-        # class1 and class2 share a simplex on square dims, whatever their sense
-        sizes = []
-        simplex = coherence.minimize_batch
-
-        def counted(fn, x0, *args, **kwargs):
-            sizes.append(len(x0))
-            return simplex(fn, x0, *args, **kwargs)
-
-        monkeypatch.setattr(coherence, "minimize_batch", counted)
+        # class1 and class2 share a Jacobi batch on square dims, whatever their
+        # sense; only the two-sided job reaches the simplex
+        simplex_rows, jacobi_jobs = count_engine_calls(monkeypatch)
         qubits, qutrits = random_mixed((2, 2), 4, seed=3), random_mixed((3, 3), 9, seed=3)
         jobs = [(qubits, "class1", MIN), (qutrits, "class2", MIN), (qubits, "class2", MAX)]
         jobs += [(qutrits, "class1", MIN), (qubits, "class3", MIN)]
         search_bases(jobs, OptimizerConfig(restarts=2, max_iterations=5))
-        assert sizes == [4, 4, 2]
+        assert jacobi_jobs == [2, 2]
+        assert simplex_rows == [2]
 
     def test_row_cap_splits_a_group_without_changing_results(self, monkeypatch):
         jobs = every_job(70)
         config = OptimizerConfig(restarts=3, seed=1, max_iterations=100)
         whole = search_bases(jobs, config)
-        sizes = []
-        simplex = coherence.minimize_batch
-
-        def counted(fn, x0, *args, **kwargs):
-            sizes.append(len(x0))
-            return simplex(fn, x0, *args, **kwargs)
-
-        monkeypatch.setattr(coherence, "minimize_batch", counted)
+        simplex_rows, jacobi_jobs = count_engine_calls(monkeypatch)
         monkeypatch.setattr(coherence, "MAX_ROWS", config.restarts)  # one job a call
         for a, b in zip(whole, search_bases(jobs, config)):
             assert_same_optimum(a, b)
-        assert sizes == [config.restarts] * len(jobs)
+        one_sided = sum(objective in ("class1", "class2") for _, objective, _ in jobs)
+        assert jacobi_jobs == [1] * one_sided
+        assert simplex_rows == [config.restarts] * (len(jobs) - one_sided)
 
     def test_unknown_sense(self):
         with pytest.raises(DiscohError):
             search_bases([(make_werner(0.3), "class1", "sideways")], FAST)
 
     def test_objective_values_do_not_depend_on_the_rest_of_the_block(self):
-        # a block gives each row the value it gets in any split of the block
+        # a block of a two-sided group gives each row the value it gets in
+        # any split of the block
         restarts = 3
         rng = np.random.default_rng(5)
-        for (dims, _), members in _groups(every_job(60)).items():
+        for (dims, one_sided), members in _groups(every_job(60)).items():
+            if one_sided:
+                continue
             jobs = [job for _, job in members]
-            count = _coefficient_count(dims, jobs[0][1])
+            count = dims[0] * dims[0] - dims[0] + dims[1] * dims[1] - dims[1]
             fn, _ = _group_objective(jobs, dims, restarts)
             rows = len(jobs) * restarts
             index = rng.permutation(np.repeat(np.arange(rows), 4)).astype(float)
@@ -421,6 +433,99 @@ class TestBatchedSearch:
             for parts in (np.split(np.arange(index.size), cuts), np.arange(index.size)[:, None]):
                 split = np.concatenate([fn(block[part]) for part in parts])
                 assert np.array_equal(split, whole), (dims, count)
+
+
+def gell_mann(d):
+    """Generalized Gell-Mann matrices of dimension d, normalized tr(l_i l_j) = 2 delta_ij."""
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k], anti[k, j] = -1j, 1j
+            mats += [sym, anti]
+    for level in range(1, d):
+        diag = np.zeros((d, d), dtype=complex)
+        diag[np.arange(level), np.arange(level)] = 1.0
+        diag[level, level] = -level
+        mats.append(diag * np.sqrt(2.0 / (level * (level + 1))))
+    return mats
+
+
+def class1_bound(rho):
+    """Closed-form lower bound on min class1, exact when side A is a qubit.
+
+    With x_i = (m/2) tr(rho l_i x I) and T_ij = (mn/4) tr(rho l_i x l_j):
+    d >= 2/(m^2 n) (|x|^2 + (2/n)|T|^2 - the m - 1 largest eigenvalues of
+    x x^T + (2/n) T T^T) (Luo & Fu, PRA 82, 034302 (2010), for m = 2).
+    """
+    m, n = rho.dims
+    side_a, side_b = gell_mann(m), gell_mann(n)
+    x = np.array([m / 2 * np.trace(rho.mat @ np.kron(a, np.eye(n))).real for a in side_a])
+    t = np.array(
+        [[m * n / 4 * np.trace(rho.mat @ np.kron(a, b)).real for b in side_b] for a in side_a]
+    )
+    eta = np.linalg.eigvalsh(np.outer(x, x) + 2 / n * t @ t.T)  # ascending
+    return 2 / (m * m * n) * (x @ x + 2 / n * np.sum(t * t) - eta[len(eta) - (m - 1) :].sum())
+
+
+class TestExactOneSidedOptima:
+    """Checks of the one-sided minima that do not run the search under test."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_pure_state_minima_follow_the_schmidt_coefficients(self, dims):
+        for seed in range(3):
+            psi = random_pure(dims, seed=50 + seed)
+            s = schmidt_decompose(psi)[0]
+            want = 1.0 - float(np.sum(s**4))
+            rho = psi.to_density()
+            low_a, low_b = search_bases([(rho, "class1", MIN), (rho, "class2", MIN)])
+            assert low_a.value == pytest.approx(want, abs=1e-12), (dims, seed)
+            assert low_b.value == pytest.approx(want, abs=1e-12), (dims, seed)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4)])
+    def test_qubit_side_minimum_equals_the_gell_mann_closed_form(self, dims):
+        for seed in range(4):
+            rho = random_mixed(dims, 3, seed=60 + seed)
+            opt = minimize_over_bases(rho, "class1")
+            assert opt.value == pytest.approx(class1_bound(rho), abs=1e-10), (dims, seed)
+
+    @pytest.mark.parametrize("dims", [(3, 2), (3, 3)])
+    def test_qudit_side_minimum_respects_the_gell_mann_bound(self, dims):
+        for seed in range(4):
+            rho = random_mixed(dims, 3, seed=70 + seed)
+            assert minimize_over_bases(rho, "class1").value >= class1_bound(rho) - 1e-12
+
+    def test_bound_is_the_two_qubit_closed_form(self):
+        from discoh.discord import discord_ab_analytic
+
+        rho = random_mixed((2, 2), 3, seed=80)
+        assert class1_bound(rho) == pytest.approx(discord_ab_analytic(rho)[0], abs=1e-12)
+
+
+class TestJacobiSteps:
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    def test_more_sweeps_never_move_the_optimum_back(self, dims):
+        for seed in range(3):
+            rho = random_mixed(dims, 4, seed=90 + seed)
+            low, high = [], []
+            for sweeps in range(1, 7):
+                config = OptimizerConfig(restarts=1, max_iterations=sweeps)
+                a, b = search_bases([(rho, "class1", MIN), (rho, "class1", MAX)], config)
+                assert a.iterations <= sweeps and b.iterations <= sweeps
+                low.append(a.value)
+                high.append(b.value)
+            assert all(later <= earlier for earlier, later in zip(low, low[1:])), low
+            assert all(later >= earlier for earlier, later in zip(high, high[1:])), high
+
+    def test_cap_before_the_tolerance_is_not_converged(self):
+        rho = random_mixed((3, 3), 4, seed=93)
+        config = OptimizerConfig(restarts=1, max_iterations=1, objective_tolerance=1e-300)
+        for sense in (MIN, MAX):
+            opt = search_bases([(rho, "class1", sense)], config)[0]
+            assert not opt.converged
+            assert (opt.iterations, opt.evaluations) == (1, 3)  # one sweep of three pairs
 
 
 def test_objectives_tuple_is_public_contract():

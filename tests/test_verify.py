@@ -1,8 +1,17 @@
 """Campaign plumbing tests at reduced trial counts (full scale lives in the
 acceptance suite)."""
 
+import concurrent.futures.process
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import discoh
 from discoh import verify
 from discoh.coherence import OptimizerConfig
 from discoh.errors import DiscohError
@@ -41,6 +50,12 @@ def test_closed_form_small():
     assert "PASS" in result.summary()
 
 
+def test_pure_discord_on_larger_qudits():
+    # default search settings, on dims beyond the suite's default cycle
+    result = pure_state_discord_campaign(trials=12, dims=((3, 2), (4, 4)), seed=11, tol=1e-9)
+    assert result.failures == 0, result.summary()
+
+
 def test_classical_zero_small():
     assert classical_zero_campaign(trials=10, seed=0).passed
 
@@ -61,13 +76,13 @@ def test_pooled_search_campaign_agrees_with_serial():
         assert getattr(pooled, field) == getattr(serial, field)
 
 
-class FakeContext:
-    """Stands in for a spawn context: records the pool size, runs blocks in process."""
+class FakePool:
+    """Stands in for the process pool: records its size, runs blocks in process."""
 
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, size):
+    def __call__(self, size, mp_context=None):
         self.sizes.append(size)
         return self
 
@@ -77,17 +92,43 @@ class FakeContext:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, fn, blocks):
-        return [fn(*block) for block in blocks]
+    def map(self, fn, *columns):
+        return [fn(*block) for block in zip(*columns)]
+
+
+UNGUARDED = """from discoh.verify import run_suite
+
+run_suite("eq64", 4, None, 0, 2)
+"""
+
+
+def live_members(group: int) -> list[int]:
+    """Processes of a process group that have not exited (zombies do not count)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            return []
+        return [group]
+    live = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError, UnicodeDecodeError):
+            continue  # not a process, or it exited while being read
+        if int(fields[2]) == group and fields[0] != "Z":
+            live.append(int(entry))
+    return live
 
 
 class TestWorkers:
     @pytest.mark.parametrize("workers, trials, size", [(8, 3, 3), (2, 5, 2), (3, 9, 3)])
     def test_pool_never_outnumbers_the_blocks(self, workers, trials, size, monkeypatch):
-        context = FakeContext()
-        monkeypatch.setattr(verify, "get_context", lambda method: context)
+        pool = FakePool()
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", pool)
         pooled = class3_sum_rule_campaign(trials=trials, seed=6, workers=workers)
-        assert context.sizes == [size]
+        assert pool.sizes == [size]
         serial = class3_sum_rule_campaign(trials=trials, seed=6)
         assert pooled.max_deviation == serial.max_deviation
         assert pooled.worst_trial == serial.worst_trial
@@ -95,6 +136,37 @@ class TestWorkers:
     def test_one_worker_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(verify, "get_context", lambda m: pytest.fail("a pool started"))
         assert class3_sum_rule_campaign(trials=3, workers=1).passed
+
+    def test_unguarded_script_fails_fast(self, tmp_path):
+        # every spawned worker imports the script again and dies starting a
+        # pool of its own; the call must say so instead of replacing them forever
+        script = tmp_path / "unguarded.py"
+        script.write_text(UNGUARDED, encoding="ascii")
+        src = str(Path(discoh.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,  # the script and its workers share one process group
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+            deadline = time.monotonic() + 10
+            while live_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)  # workers the pool stops may take a moment to exit
+            assert live_members(proc.pid) == [], "a worker outlived the script"
+        finally:
+            if live_members(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode != 0
+        assert "DiscohError" in err
+        assert 'if __name__ == "__main__":' in err
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_rejects_fewer_than_one_worker(self, workers, monkeypatch):
