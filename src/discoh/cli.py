@@ -240,16 +240,19 @@ def _add_optimizer_flags(parser) -> None:
         "--max-iterations",
         type=int,
         default=None,
-        help="cap per restart: Jacobi sweeps for d_ab, d_ba, d_sym; simplex iterations "
-        "for d_tilde, v, v_tilde (default 2000)",
+        help="cap per restart: Jacobi sweeps for d_ab, d_ba, d_sym; alternations (a sweep "
+        "on each side) for d_tilde, and for v, v_tilde on 2x2; simplex iterations for v, "
+        "v_tilde on other dims (default 2000)",
     )
     parser.add_argument(
         "--objective-tolerance",
         type=_finite_float,
         default=None,
-        help="stop a restart when one Jacobi sweep moves its objective by at most this "
-        "(d_ab, d_ba, d_sym) or its simplex's objective spread drops to this "
-        "(d_tilde, v, v_tilde) (default 1e-9)",
+        help="stop a Jacobi restart (d_ab, d_ba, d_sym, d_tilde; v, v_tilde on 2x2) once "
+        "its last iteration moved its objective by at most this and the moves still to "
+        "come, estimated from the ratio of its last two, add up to at most this; stop a "
+        "simplex restart (v, v_tilde on other dims) when its objective spread drops to "
+        "this (default 1e-9)",
     )
 
 

@@ -10,18 +10,20 @@ index families:
   tilde_total  every off-diagonal entry (k, k') != (l, l') counted once
 
 `total` is class1 + class2, which counts entries off-diagonal in both
-indices twice.  One row-wise kernel rotates a state and squares the moduli;
-contributions and the basis search both go through it.
+indices twice.  One row-wise kernel rotates a state; contributions and the
+basis search both sum its squared moduli.
 
 Extremizing a family over all product bases is a seeded multi-start search.
 search_bases takes a list of jobs, each a (state, objective, sense), and
-runs every restart of every job on the same dims and the same sides as
-rows of one batch.  Every step computes each row on its own, so batching
-changes no row's path: a job's result is bit for bit the one it gives when
-searched alone.  Two engines run the batches:
+runs every restart of every job on the same dims and objective as rows of
+one batch.  Every step computes each row on its own, so batching changes
+no row's path: a job's result is bit for bit the one it gives when
+searched alone.  Three loops run the batches:
 
-  one-sided (class1, class2)   a cyclic Jacobi sweep of exact Givens steps
-  two-sided (class3, tilde_total, total)   a lockstep Nelder-Mead simplex
+  one-sided Jacobi (class1, class2)   sweeps of exact Givens steps on side A
+  alternating Jacobi (tilde_total, total; class3 on 2 x 2)
+                                      a sweep on side A, then one on side B
+  simplex (class3 on other dims)      a lockstep Nelder-Mead simplex
 
 class2 of a state is class1 of the state with its parties exchanged, so a
 class2 job is searched as a class1 job on the swapped state (the same
@@ -41,7 +43,26 @@ over its pair, so no step moves the objective the wrong way.  A restart
 starts from exp(i H) with seeded off-diagonal H, as below; an iteration is
 one sweep over all m(m - 1)/2 pairs and an evaluation one Givens step.
 
-Two-sided.  Every family is a sum of squared moduli, and a diagonal phase
+Alternating.  With U_B held, the blocks A_jj' are those of
+(1 x U_B) rho (1 x U_B)^dag, and each two-sided family below is a constant
+less the diagonal mass of a stack of Hermitian matrices under U_A:
+
+  tilde_total     the n diagonal blocks A_jj
+  total           the class1 stack above (class2 does not see U_A)
+  class3 (2 x 2)  P and Q of A_01 = P + i Q: class3 is 2|A_01|^2 less
+                  twice their diagonal mass
+
+The same holds for U_B on the party-swapped state.  So an iteration is one
+sweep on side A and then one on side B, each with U_A's steps, and no step
+moves the objective the wrong way; an evaluation is one Givens step.  A
+restart starts from the simplex's start below.
+
+Both Jacobi loops stop a row once _settled finds its objective settled:
+this iteration's move, and the tail that the ratio of its last two moves
+predicts, are both at most the tolerance.
+
+Simplex.  class3 off two qubits is not a diagonal-mass problem on either
+side.  Every family is a sum of squared moduli, and a diagonal phase
 matrix D only rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B
 leave all sums unchanged.  So the simplex runs on the quotient by diagonal
 phases: each varied side is U = exp(i H) with an off-diagonal Hermitian H,
@@ -60,7 +81,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from .simplex import minimize_batch
-from .states import DensityMatrix, _check_finite, swap_subsystems
+from .states import DensityMatrix, _check_finite, _swap_parties, swap_subsystems
 
 UNITARITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
@@ -139,8 +160,8 @@ def _index_masks(m: int, n: int) -> dict:
     }
 
 
-def _rotated_moduli(u_a: np.ndarray, u_b: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Squared moduli of (u_a x u_b) rho (u_a x u_b)^dag, one flat row per rho.
+def _rotate(u_a: np.ndarray, u_b: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """(u_a x u_b) rho (u_a x u_b)^dag, one row per rho.
 
     u_a (rows, m, m), u_b (rows, n, n) and mats (rows, mn, mn), where an
     operand with one row broadcasts.  Each row is computed on its own, so
@@ -148,8 +169,12 @@ def _rotated_moduli(u_a: np.ndarray, u_b: np.ndarray, mats: np.ndarray) -> np.nd
     """
     m, n = u_a.shape[-1], u_b.shape[-1]
     w = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, m * n, m * n)
-    rot = (w @ mats) @ w.conj().swapaxes(-2, -1)
-    return (rot.real**2 + rot.imag**2).reshape(len(rot), -1)
+    return (w @ mats) @ w.conj().swapaxes(-2, -1)
+
+
+def _class_sums(rot: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's squared moduli of rot (rows, mn, mn), summed with its weights row by row."""
+    return ((rot.real**2 + rot.imag**2).reshape(len(rot), -1) * weights).sum(axis=1)
 
 
 def contributions(rho: DensityMatrix, basis: LocalBasisPair | None = None) -> ClassContributions:
@@ -161,11 +186,10 @@ def contributions(rho: DensityMatrix, basis: LocalBasisPair | None = None) -> Cl
         raise ShapeError(
             f"basis shapes {basis.u_a.shape} / {basis.u_b.shape} do not match dims {rho.dims}"
         )
-    p2 = _rotated_moduli(basis.u_a[None], basis.u_b[None], rho.mat[None])
+    rot = _rotate(basis.u_a[None], basis.u_b[None], rho.mat[None])
     masks = _index_masks(m, n)
-    c1, c2, c3, tilde = (
-        float((p2 * masks[name]).sum()) for name in ("class1", "class2", "class3", "tilde_total")
-    )
+    names = ("class1", "class2", "class3", "tilde_total")
+    c1, c2, c3, tilde = map(float, _class_sums(rot, np.stack([masks[name] for name in names])))
     return ClassContributions(class1=c1, class2=c2, class3=c3, tilde_total=tilde, total=c1 + c2)
 
 
@@ -179,11 +203,16 @@ class OptimizerConfig:
     resolved toward the lowest restart index).
 
     max_iterations caps each restart's iterations: Jacobi sweeps for a
-    one-sided objective (class1, class2), simplex iterations for a two-sided
-    one.  objective_tolerance stops a restart when one sweep moves its
-    objective by at most this much (one-sided), or when the objective's
-    spread over its simplex drops to this much (two-sided).  A restart that
-    stopped by the tolerance counts as converged.
+    one-sided objective (class1, class2), alternations (a sweep on each
+    side) for tilde_total, total and two-qubit class3, simplex iterations
+    for class3 on other dims.  A Jacobi restart stops once its objective
+    has settled: its last iteration moved it by at most objective_tolerance,
+    and so does the rest of the way as the ratio r of its last two moves
+    predicts it (move * r / (1 - r), r capped at RATIO_CAP).  A simplex
+    restart stops when the objective's spread over its simplex drops to
+    objective_tolerance.  A restart that stopped by the tolerance counts as
+    converged.  BasisOptimum.evaluations counts Givens steps (Jacobi) or
+    objective values (simplex).
     """
 
     restarts: int = 32
@@ -307,27 +336,49 @@ def _weights(jobs, m: int, n: int) -> np.ndarray:
     return np.stack([-masks[obj] if sense == MAX else masks[obj] for _, obj, sense in jobs])
 
 
-def _hermitian_stack(rho: DensityMatrix) -> np.ndarray:
-    """The n^2 Hermitian m x m matrices H_r with
+def _blocks(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """blocks[:, j, j'] = A_jj', the m x m blocks of each rho = sum A_jj' x |j><j'|."""
+    return mats.reshape(-1, m, n, m, n).transpose(0, 2, 4, 1, 3)
+
+
+def _hermitian_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The n^2 Hermitian m x m matrices H_r of each rho with
     class1(U) = |rho|^2 - sum_r sum_k (U H_r U^dag)_kk^2.
 
-    With rho = sum A_jj' x |j><j'|, they are the blocks A_jj and, for each
-    j < j', the Hermitian and anti-Hermitian parts of sqrt(2) A_jj': the
-    pair (j, j') and (j', j) of off-diagonal blocks counts twice.
+    They are the blocks A_jj and, for each j < j', the Hermitian and
+    anti-Hermitian parts of sqrt(2) A_jj': the pair (j, j') and (j', j) of
+    off-diagonal blocks counts twice.
     """
-    m, n = rho.dims
-    blocks = rho.mat.reshape(m, n, m, n).transpose(1, 3, 0, 2)  # blocks[j, j'] = A_jj'
+    blocks = _blocks(mats, m, n)
     j, jp = _pair_indices(n)
-    off = blocks[j, jp] * math.sqrt(0.5)
+    off = blocks[:, j, jp] * math.sqrt(0.5)
     off_dag = off.conj().swapaxes(-2, -1)
     diag = np.arange(n)
-    return np.concatenate((blocks[diag, diag], off + off_dag, -1j * (off - off_dag)))
+    return np.concatenate((blocks[:, diag, diag], off + off_dag, -1j * (off - off_dag)), axis=1)
 
 
-def _diagonal_mass(x: np.ndarray) -> np.ndarray:
-    """sum_r sum_k (x_r)_kk^2 of each row of x (rows, R, m, m), row by row."""
-    d = np.diagonal(x, axis1=-2, axis2=-1).real
-    return (d * d).reshape(len(x), -1).sum(axis=1)
+def _diagonal_blocks(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The n blocks A_jj of each rho, with
+    tilde_total(U x 1) = |rho|^2 - sum_j sum_k (U A_jj U^dag)_kk^2."""
+    diag = np.arange(n)
+    return _blocks(mats, m, n)[:, diag, diag]
+
+
+def _anti_diagonal_parts(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """P and Q of A_01 = P + i Q of each two-qubit rho, with
+    class3(U x 1) = 2 |A_01|^2 - 2 sum_{H = P, Q} sum_k (U H U^dag)_kk^2."""
+    a = _blocks(mats, m, n)[:, 0, 1]
+    a_dag = a.conj().swapaxes(-2, -1)
+    return np.stack((0.5 * (a + a_dag), -0.5j * (a - a_dag)), axis=1)
+
+
+# Per alternating objective: the stack whose diagonal mass under U_A, with U_B
+# held, the objective is a constant less.  Side B's is the party-swapped state's.
+_STACKS = {
+    "total": _hermitian_stack,  # the class1 stack: class2 does not see side A
+    "tilde_total": _diagonal_blocks,
+    "class3": _anti_diagonal_parts,  # two qubits only
+}
 
 
 def _jacobi_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
@@ -337,7 +388,7 @@ def _jacobi_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
     U.  A step on (p, q) changes only a_pp - a_qq of the diagonals, to
     h_r . v for a unit vector v, so it takes the top eigenvector v of
     G = sum_r h_r h_r^T where top is set (raising the diagonal mass: a
-    minimum of class1) and the bottom one elsewhere.
+    minimum of the objective) and the bottom one elsewhere.
     """
     rows = np.arange(len(x))
     pick = np.where(top, 2, 0)  # eigh sorts ascending
@@ -361,22 +412,57 @@ def _jacobi_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
         u[:, p, :], u[:, q, :] = c2 * up + s2.conj() * uq, c2 * uq - s2 * up
 
 
+# The slowest per-iteration contraction the stop rule's tail estimate assumes.
+RATIO_CAP = 0.99
+
+
+def _settled(move: np.ndarray, last: np.ndarray, tol: float) -> np.ndarray:
+    """Rows whose objective has settled, from this iteration's move and the last one.
+
+    If the moves shrink by r = move / last an iteration, the objective
+    still has move * r / (1 - r) to go.  A row settles once this move and
+    that tail are both at most tol.  r is capped at RATIO_CAP: moves at the
+    level of rounding have a ratio that means nothing, and the cap still
+    lets such a row stop (its tail counts as at most 99 moves).  Before a
+    row's first move, last is infinite, so only the move counts.
+    """
+    r = np.minimum(move / last, RATIO_CAP)
+    return move * np.maximum(1.0, r / (1.0 - r)) <= tol
+
+
+def _side_unitaries(theta: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Side A's and side B's unitaries from rows of coefficients, side A's first."""
+    na = m * m - m
+    return unitaries_from_params(theta[:, :na], m), unitaries_from_params(theta[:, na:], n)
+
+
+def _diagonal_mass(x: np.ndarray) -> np.ndarray:
+    """sum_r sum_k (x_r)_kk^2 of each row of x (rows, R, m, m), row by row."""
+    d = np.diagonal(x, axis1=-2, axis2=-1).real
+    return (d * d).reshape(len(x), -1).sum(axis=1)
+
+
+def _rows(jobs, cfg: OptimizerConfig):
+    """Each row's job index and whether it takes the top eigenvector (a minimum)."""
+    job = np.repeat(np.arange(len(jobs)), cfg.restarts)
+    return job, np.repeat([sense == MIN for _, _, sense in jobs], cfg.restarts)
+
+
 def _jacobi_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
     """Every restart of every class1 job in the group, as rows of one Jacobi search.
 
     Restart i starts from unitaries_from_params of its seeded coefficients.
-    A row stops once a sweep moves its diagonal mass by at most the
-    tolerance (converged), or after max_iterations sweeps; its value is the
-    class sum of its final basis, from the kernel contributions uses.
+    A row stops once its diagonal mass has settled (converged), or after
+    max_iterations sweeps; its value is the class sum of its final basis,
+    from the kernel contributions uses.
     """
     m, n = dims
-    restarts = cfg.restarts
-    job = np.repeat(np.arange(len(jobs)), restarts)
+    job, top = _rows(jobs, cfg)
     u = np.tile(unitaries_from_params(_starts(m * m - m, cfg), m), (len(jobs), 1, 1))
-    stacks = np.stack([_hermitian_stack(rho) for rho, _, _ in jobs])
-    x = (u[:, None] @ stacks[job]) @ u.conj().swapaxes(-2, -1)[:, None]
-    top = np.repeat([sense == MIN for _, _, sense in jobs], restarts)
+    mats = np.stack([rho.mat for rho, _, _ in jobs])
+    x = (u[:, None] @ _hermitian_stack(mats, m, n)[job]) @ u.conj().swapaxes(-2, -1)[:, None]
     mass = _diagonal_mass(x)
+    last = np.full(len(u), np.inf)
     sweeps = np.zeros(len(u), dtype=np.int64)
     converged = np.full(len(u), m < 2)  # a one-level side has nothing to rotate
     active = np.flatnonzero(~converged)
@@ -384,16 +470,16 @@ def _jacobi_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
         xa, ua = x[active], u[active]
         _jacobi_sweep(xa, ua, top[active])
         moved = _diagonal_mass(xa)
+        move = np.abs(moved - mass[active])
         sweeps[active] += 1
-        converged[active] = np.abs(moved - mass[active]) <= cfg.objective_tolerance
-        x[active], u[active], mass[active] = xa, ua, moved
+        converged[active] = _settled(move, last[active], cfg.objective_tolerance)
+        x[active], u[active], mass[active], last[active] = xa, ua, moved, move
         active = active[~converged[active] & (sweeps[active] < cfg.max_iterations)]
     eye_b = np.eye(n, dtype=complex)[None]
-    mats = np.stack([rho.mat for rho, _, _ in jobs])
-    values = (_rotated_moduli(u, eye_b, mats[job]) * _weights(jobs, m, n)[job]).sum(axis=1)
+    values = _class_sums(_rotate(u, eye_b, mats[job]), _weights(jobs, m, n)[job])
     return _optima(
         jobs,
-        values.reshape(len(jobs), restarts),
+        values.reshape(len(jobs), cfg.restarts),
         lambda rows: (u[rows], np.broadcast_to(eye_b, (len(rows), n, n))),
         converged,
         sweeps,
@@ -402,8 +488,58 @@ def _jacobi_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
     )
 
 
+def _alternating_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
+    """Every restart of every two-sided job in the group, as rows of one Jacobi search.
+
+    The jobs share dims and objective.  An iteration (an alternation) is
+    one sweep on side A, on the stack of the state rotated by both current
+    unitaries, and then one on side B, on the stack of the party-swapped
+    state rotated by the new ones.  Restart i starts from
+    unitaries_from_params of the seeded coefficients the simplex would
+    start from, side A's first.  A row stops once its class sum has
+    settled (converged), or after max_iterations alternations; its value is
+    the class sum of its final basis.
+    """
+    m, n = dims
+    stack = _STACKS[jobs[0][1]]
+    job, top = _rows(jobs, cfg)
+    starts = _side_unitaries(_starts(m * m - m + n * n - n, cfg), m, n)
+    ua, ub = (np.tile(u, (len(jobs), 1, 1)) for u in starts)
+    mats = np.stack([rho.mat for rho, _, _ in jobs])[job]
+    weights = _weights(jobs, m, n)[job]
+    rot = _rotate(ua, ub, mats)
+    values = _class_sums(rot, weights)
+    last = np.full(len(job), np.inf)
+    alternations = np.zeros(len(job), dtype=np.int64)
+    converged = np.full(len(job), m < 2 and n < 2)  # nothing to rotate
+    active = np.flatnonzero(~converged)
+    while active.size:
+        a, b, rows, t = ua[active], ub[active], mats[active], top[active]
+        # C order: numpy's elementwise kernels round by memory layout, and a
+        # stack's layout would otherwise depend on how many rows it has
+        _jacobi_sweep(np.ascontiguousarray(stack(rot[active], m, n)), a, t)
+        swapped = _swap_parties(_rotate(a, b, rows), m, n)
+        _jacobi_sweep(np.ascontiguousarray(stack(swapped, n, m)), b, t)
+        r = _rotate(a, b, rows)
+        moved = _class_sums(r, weights[active])
+        move = np.abs(moved - values[active])
+        alternations[active] += 1
+        converged[active] = _settled(move, last[active], cfg.objective_tolerance)
+        ua[active], ub[active], rot[active], values[active], last[active] = a, b, r, moved, move
+        active = active[~converged[active] & (alternations[active] < cfg.max_iterations)]
+    return _optima(
+        jobs,
+        values.reshape(len(jobs), cfg.restarts),
+        lambda rows: (ua[rows], ub[rows]),
+        converged,
+        alternations,
+        alternations * (m * (m - 1) // 2 + n * (n - 1) // 2),  # Givens steps
+        cfg.objective_tolerance,
+    )
+
+
 def _group_objective(jobs, dims, restarts: int):
-    """Objective over the rows of one two-sided group, and rows -> (u_a, u_b).
+    """Objective over the rows of one simplex group (class3 off two qubits).
 
     A row's first m^2 - m coefficients rotate side A and the rest side B.
     Row r of the batch searches job r // restarts; minimize_batch passes r
@@ -415,28 +551,20 @@ def _group_objective(jobs, dims, restarts: int):
     m, n = dims
     mats = np.stack([rho.mat for rho, _, _ in jobs])
     weights = _weights(jobs, m, n)
-    na = m * m - m
-
-    def side_unitaries(theta):
-        if m == n:  # both sides in one call: rows alternate a, b
-            u = unitaries_from_params(theta.reshape(2 * len(theta), na), m)
-            return u[0::2], u[1::2]
-        return unitaries_from_params(theta[:, :na], m), unitaries_from_params(theta[:, na:], n)
 
     def fn(block):
         job = block[:, -1].astype(np.intp) // restarts
-        ua, ub = side_unitaries(block[:, :-1])
-        return (_rotated_moduli(ua, ub, mats[job]) * weights[job]).sum(axis=1)
+        ua, ub = _side_unitaries(block[:, :-1], m, n)
+        return _class_sums(_rotate(ua, ub, mats[job]), weights[job])
 
-    return fn, side_unitaries
+    return fn
 
 
 def _simplex_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
-    """One lockstep simplex over every restart of every two-sided job in the group."""
+    """One lockstep simplex over every restart of every job in the group."""
     m, n = dims
-    fn, side_unitaries = _group_objective(jobs, dims, cfg.restarts)
     res = minimize_batch(
-        fn,
+        _group_objective(jobs, dims, cfg.restarts),
         np.tile(_starts(m * m - m + n * n - n, cfg), (len(jobs), 1)),
         step=0.5,
         tol=cfg.objective_tolerance,
@@ -445,7 +573,7 @@ def _simplex_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
     return _optima(
         jobs,
         res.value.reshape(len(jobs), cfg.restarts),
-        lambda rows: side_unitaries(res.x[rows]),
+        lambda rows: _side_unitaries(res.x[rows], m, n),
         res.converged,
         res.row_iterations,
         res.row_evaluations,
@@ -454,7 +582,7 @@ def _simplex_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
 
 
 def _groups(jobs) -> dict:
-    """Jobs by (dims, one-sided) of the batch that runs them, as (index, job).
+    """Jobs by (dims, objective) of the batch that runs them, as (index, job).
 
     A class2 job is listed as class1 of the party-swapped state.
     """
@@ -466,26 +594,30 @@ def _groups(jobs) -> dict:
             raise DiscohError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
         if objective == "class2":
             rho, objective = swap_subsystems(rho), "class1"
-        key = (rho.dims, objective == "class1")
-        groups.setdefault(key, []).append((index, (rho, objective, sense)))
+        groups.setdefault((rho.dims, objective), []).append((index, (rho, objective, sense)))
     return groups
 
 
 def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptimum]:
     """Optimum of each (state, objective, sense) job over product bases, in job order.
 
-    Jobs on the same dims that rotate the same sides run as rows of one
-    batch, config.restarts rows per job and at most MAX_ROWS rows a call:
-    one Jacobi search for the one-sided jobs, one lockstep simplex for the
-    two-sided ones.  A class2 job runs as class1 of the swapped state, so it
+    Jobs on the same dims with the same objective run as rows of one batch,
+    config.restarts rows per job and at most MAX_ROWS rows a call: one
+    lockstep simplex for class3 off two qubits, one Jacobi search for every
+    other group.  A class2 job runs as class1 of the swapped state, so it
     shares a batch with the class1 jobs on the swapped dims.  Each job's
     BasisOptimum equals, bit for bit, the one it gives when searched alone.
     """
     cfg = config if config is not None else OptimizerConfig()
     per_call = max(1, MAX_ROWS // cfg.restarts)
     optima = [None] * len(jobs)
-    for (dims, one_sided), members in _groups(jobs).items():
-        search = _jacobi_group if one_sided else _simplex_group
+    for (dims, objective), members in _groups(jobs).items():
+        if objective == "class1":
+            search = _jacobi_group
+        elif objective == "class3" and dims != (2, 2):
+            search = _simplex_group
+        else:
+            search = _alternating_group
         for start in range(0, len(members), per_call):
             chunk = members[start : start + per_call]
             found = search([job for _, job in chunk], dims, cfg)

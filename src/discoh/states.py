@@ -311,11 +311,17 @@ def schmidt_decompose(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return s, u, vh.conj().T
 
 
+def _swap_parties(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Operators on dims (m, n), over any leading axes, with the parties exchanged."""
+    lead = mats.shape[:-2]
+    t = mats.reshape(*lead, m, n, m, n).swapaxes(-4, -3).swapaxes(-2, -1)
+    return t.reshape(*lead, m * n, m * n)
+
+
 def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
     """Exchange the two subsystems; dims (m, n) become (n, m)."""
     m, n = rho.dims
-    t = rho.mat.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
-    return DensityMatrix((n, m), t)
+    return DensityMatrix((n, m), _swap_parties(rho.mat, m, n))
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -23,10 +23,10 @@ from discoh.coherence import (
     unitaries_from_params,
 )
 from discoh import coherence
-from discoh.coherence import _group_objective, _groups
+from discoh.coherence import _group_objective, _groups, _settled
 from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from discoh.linalg import identity, kron
-from discoh.nonlocality import direction_basis
+from discoh.nonlocality import direction_basis, v_measures_analytic
 from discoh.states import (
     DensityMatrix,
     PureState,
@@ -351,21 +351,32 @@ def assert_same_optimum(a, b):
 
 
 def count_engine_calls(monkeypatch):
-    """Rows of each simplex call and jobs of each Jacobi call, as lists filled in later."""
-    simplex_rows, jacobi_jobs = [], []
-    simplex, jacobi = coherence.minimize_batch, coherence._jacobi_group
+    """Rows of each simplex call, and jobs of each one-sided and each alternating Jacobi
+    call, as lists filled in later."""
+    simplex_rows, jacobi_jobs, alternating_jobs = [], [], []
+    simplex = coherence.minimize_batch
 
     def counted_simplex(fn, x0, *args, **kwargs):
         simplex_rows.append(len(x0))
         return simplex(fn, x0, *args, **kwargs)
 
-    def counted_jacobi(jobs, *args):
-        jacobi_jobs.append(len(jobs))
-        return jacobi(jobs, *args)
+    def counted(name, calls):
+        engine = getattr(coherence, name)
+
+        def run(jobs, *args):
+            calls.append(len(jobs))
+            return engine(jobs, *args)
+
+        monkeypatch.setattr(coherence, name, run)
 
     monkeypatch.setattr(coherence, "minimize_batch", counted_simplex)
-    monkeypatch.setattr(coherence, "_jacobi_group", counted_jacobi)
-    return simplex_rows, jacobi_jobs
+    counted("_jacobi_group", jacobi_jobs)
+    counted("_alternating_group", alternating_jobs)
+    return simplex_rows, jacobi_jobs, alternating_jobs
+
+
+def on_simplex(objective, dims):
+    return objective == "class3" and dims != (2, 2)
 
 
 class TestBatchedSearch:
@@ -389,42 +400,49 @@ class TestBatchedSearch:
 
     def test_one_simplex_per_dims_and_coefficient_count(self, monkeypatch):
         # class1 and class2 share a Jacobi batch on square dims, whatever their
-        # sense; only the two-sided job reaches the simplex
-        simplex_rows, jacobi_jobs = count_engine_calls(monkeypatch)
+        # sense; the two-sided jobs batch by dims and objective, and only class3
+        # off two qubits reaches the simplex
+        simplex_rows, jacobi_jobs, alternating_jobs = count_engine_calls(monkeypatch)
         qubits, qutrits = random_mixed((2, 2), 4, seed=3), random_mixed((3, 3), 9, seed=3)
         jobs = [(qubits, "class1", MIN), (qutrits, "class2", MIN), (qubits, "class2", MAX)]
-        jobs += [(qutrits, "class1", MIN), (qubits, "class3", MIN)]
+        jobs += [(qutrits, "class1", MIN), (qubits, "class3", MIN), (qubits, "tilde_total", MIN)]
+        jobs += [(qutrits, "class3", MAX), (qubits, "class3", MAX), (qutrits, "tilde_total", MIN)]
         search_bases(jobs, OptimizerConfig(restarts=2, max_iterations=5))
         assert jacobi_jobs == [2, 2]
+        assert alternating_jobs == [2, 1, 1]
         assert simplex_rows == [2]
 
     def test_row_cap_splits_a_group_without_changing_results(self, monkeypatch):
         jobs = every_job(70)
         config = OptimizerConfig(restarts=3, seed=1, max_iterations=100)
         whole = search_bases(jobs, config)
-        simplex_rows, jacobi_jobs = count_engine_calls(monkeypatch)
+        simplex_rows, jacobi_jobs, alternating_jobs = count_engine_calls(monkeypatch)
         monkeypatch.setattr(coherence, "MAX_ROWS", config.restarts)  # one job a call
         for a, b in zip(whole, search_bases(jobs, config)):
             assert_same_optimum(a, b)
         one_sided = sum(objective in ("class1", "class2") for _, objective, _ in jobs)
+        simplex = sum(on_simplex(objective, rho.dims) for rho, objective, _ in jobs)
         assert jacobi_jobs == [1] * one_sided
-        assert simplex_rows == [config.restarts] * (len(jobs) - one_sided)
+        assert simplex_rows == [config.restarts] * simplex
+        assert alternating_jobs == [1] * (len(jobs) - one_sided - simplex)
 
     def test_unknown_sense(self):
         with pytest.raises(DiscohError):
             search_bases([(make_werner(0.3), "class1", "sideways")], FAST)
 
     def test_objective_values_do_not_depend_on_the_rest_of_the_block(self):
-        # a block of a two-sided group gives each row the value it gets in
-        # any split of the block
+        # a block of a simplex group (class3 off two qubits) gives each row the
+        # value it gets in any split of the block
         restarts = 3
         rng = np.random.default_rng(5)
-        for (dims, one_sided), members in _groups(every_job(60)).items():
-            if one_sided:
+        groups = _groups(every_job(60))
+        assert sum(on_simplex(objective, dims) for dims, objective in groups) == 4
+        for (dims, objective), members in groups.items():
+            if not on_simplex(objective, dims):
                 continue
             jobs = [job for _, job in members]
             count = dims[0] * dims[0] - dims[0] + dims[1] * dims[1] - dims[1]
-            fn, _ = _group_objective(jobs, dims, restarts)
+            fn = _group_objective(jobs, dims, restarts)
             rows = len(jobs) * restarts
             index = rng.permutation(np.repeat(np.arange(rows), 4)).astype(float)
             block = np.column_stack((rng.uniform(-np.pi, np.pi, (index.size, count)), index))
@@ -526,6 +544,92 @@ class TestJacobiSteps:
             opt = search_bases([(rho, "class1", sense)], config)[0]
             assert not opt.converged
             assert (opt.iterations, opt.evaluations) == (1, 3)  # one sweep of three pairs
+
+
+class TestExactTwoSidedOptima:
+    """Checks of the two-sided optima that do not run the search under test."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_pure_state_tilde_total_minimum_is_half_the_squared_concurrence(self, dims):
+        # the Schmidt basis reaches the lower bound max(d_ab, d_ba) = c^2 / 2 =
+        # 1 - sum s^4; a Jacobi row stops within about its tolerance of its limit
+        config = OptimizerConfig(objective_tolerance=1e-12)
+        for seed in range(3):
+            psi = random_pure(dims, seed=50 + seed)
+            want = 1.0 - float(np.sum(schmidt_decompose(psi)[0] ** 4))
+            opt = minimize_over_bases(psi.to_density(), "tilde_total", config)
+            assert opt.value == pytest.approx(want, abs=1e-10), (dims, seed)
+
+    def test_two_qubit_class3_extrema_equal_the_closed_forms(self):
+        states = [random_mixed((2, 2), 4, seed=300 + k) for k in range(40)]
+        optima = search_bases([(rho, "class3", sense) for rho in states for sense in (MIN, MAX)])
+        for k, rho in enumerate(states):
+            v, v_tilde = v_measures_analytic(rho)
+            assert optima[2 * k].value == pytest.approx(v, abs=1e-8), k
+            assert optima[2 * k + 1].value == pytest.approx(v_tilde, abs=1e-8), k
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_tilde_total_minimum_sits_between_the_one_sided_minima(self, dims):
+        for seed in range(3):
+            rho = random_mixed(dims, 3, seed=310 + seed)
+            jobs = [(rho, objective, MIN) for objective in ("class1", "class2", "tilde_total")]
+            d_ab, d_ba, d_tilde = (opt.value for opt in search_bases(jobs))
+            assert max(d_ab, d_ba) - 1e-12 <= d_tilde <= d_ab + d_ba + 1e-12, (dims, seed)
+
+
+class TestAlternatingSteps:
+    @pytest.mark.parametrize(
+        "dims, objective, senses",
+        [((2, 2), "class3", (MIN, MAX)), ((3, 3), "tilde_total", (MIN,))],
+    )
+    def test_more_alternations_never_move_the_optimum_back(self, dims, objective, senses):
+        for seed in range(3):
+            rho = random_mixed(dims, 4, seed=320 + seed)
+            values = {sense: [] for sense in senses}
+            for alternations in range(1, 7):
+                config = OptimizerConfig(restarts=1, max_iterations=alternations)
+                for sense in senses:
+                    opt = search_bases([(rho, objective, sense)], config)[0]
+                    assert opt.iterations <= alternations
+                    values[sense].append(opt.value)
+            for sense, seen in values.items():
+                step = 1.0 if sense == MIN else -1.0
+                assert all(step * (later - earlier) <= 0.0 for earlier, later in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize(
+        "dims, objective, steps", [((2, 2), "class3", 2), ((3, 3), "tilde_total", 6)]
+    )
+    def test_cap_before_the_tolerance_is_not_converged(self, dims, objective, steps):
+        rho = random_mixed(dims, 4, seed=330)
+        config = OptimizerConfig(restarts=1, max_iterations=1, objective_tolerance=1e-300)
+        for sense in (MIN, MAX):
+            opt = search_bases([(rho, objective, sense)], config)[0]
+            assert not opt.converged
+            assert (opt.iterations, opt.evaluations) == (1, steps)  # a sweep on each side
+
+
+class TestStopRule:
+    def test_a_slow_row_waits_for_its_tail(self):
+        # moves shrinking by 0.9 leave nine times the last move to go
+        last = np.array([2e-10, 1e-10]) / 0.9
+        assert list(_settled(np.array([2e-10, 1e-10]), last, 1e-9)) == [False, True]
+
+    def test_a_fast_row_still_waits_for_a_small_move(self):
+        assert list(_settled(np.array([2e-9, 1e-9]), np.array([1.0, 1.0]), 1e-9)) == [False, True]
+
+    def test_first_move_and_rounding_level_moves(self):
+        # before any move only the move counts; growing moves at the level of
+        # rounding still settle, as their ratio is capped
+        assert _settled(np.array([1e-9]), np.array([np.inf]), 1e-9)[0]
+        assert _settled(np.array([1e-17]), np.array([1e-18]), 1e-9)[0]
+
+    def test_slowly_contracting_maximum_stops_within_the_tolerance(self):
+        # a row that contracts slowly stopped 2.3e-9 short when one sweep's
+        # move alone decided
+        rho = random_mixed((3, 3), 3, 101)
+        loose = maximize_over_bases(rho, "class2")
+        tight = maximize_over_bases(rho, "class2", OptimizerConfig(objective_tolerance=1e-12))
+        assert tight.value - 1e-9 <= loose.value <= tight.value + 1e-12
 
 
 def test_objectives_tuple_is_public_contract():
