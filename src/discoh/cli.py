@@ -67,14 +67,14 @@ def _parse_dims_or_all(text: str):
     return _parse_dims(text)
 
 
-def _count(what: str):
-    """Parser of a count that must be at least 1."""
+def _integer(what: str, low: int):
+    """Parser of an integer that must be at least low."""
 
     def parse(text: str) -> int:
-        count = int(text)
-        if count < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {count}")
-        return count
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+        return value
 
     parse.__name__ = what  # argparse names the type in its "invalid ... value" message
     return parse
@@ -240,19 +240,17 @@ def _add_optimizer_flags(parser) -> None:
         "--max-iterations",
         type=int,
         default=None,
-        help="cap per restart: Jacobi sweeps for d_ab, d_ba, d_sym; alternations (a sweep "
-        "on each side) for d_tilde, and for v, v_tilde on 2x2; simplex iterations for v, "
-        "v_tilde on other dims (default 2000)",
+        help="cap per restart: sweeps (a step on every pair of levels) for d_ab, d_ba, "
+        "d_sym; alternations (a sweep on each side) for d_tilde, v, v_tilde; a step is one "
+        "exact Givens step, or for v, v_tilde off 2x2 two line steps (default 2000)",
     )
     parser.add_argument(
         "--objective-tolerance",
         type=_finite_float,
         default=None,
-        help="stop a Jacobi restart (d_ab, d_ba, d_sym, d_tilde; v, v_tilde on 2x2) once "
-        "its last iteration moved its objective by at most this and the moves still to "
-        "come, estimated from the ratio of its last two, add up to at most this; stop a "
-        "simplex restart (v, v_tilde on other dims) when its objective spread drops to "
-        "this (default 1e-9)",
+        help="stop a restart once its last iteration moved its objective by at most this "
+        "and the moves still to come, estimated from the ratio of its last two, add up to "
+        "at most this (default 1e-9)",
     )
 
 
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--method", choices=METHODS, default="auto")
     p_an.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_an.add_argument("--output", "-o", default=None)
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=_integer("seed", 0), default=0)
     _add_optimizer_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -280,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify", help="randomized verification campaigns")
     p_ve.add_argument("suite", choices=tuple(SUITES))
-    p_ve.add_argument("--trials", type=_count("trials"), default=None)
+    p_ve.add_argument("--trials", type=_integer("trials", 1), default=None)
     p_ve.add_argument("--dims", type=_parse_dims_or_all, default=None, help="monogamy, corollary2")
     p_ve.add_argument(
         "--samples", type=int, default=None, help="decompositions per trial (corollary1)"
     )
-    p_ve.add_argument("--seed", type=int, default=0)
+    p_ve.add_argument("--seed", type=_integer("seed", 0), default=0)
     p_ve.add_argument("--tol", type=_finite_float, default=None)
-    p_ve.add_argument("--workers", type=_count("workers"), default=1)
+    p_ve.add_argument("--workers", type=_integer("workers", 1), default=1)
     _add_optimizer_flags(p_ve)
     p_ve.set_defaults(func=cmd_verify, usage_error=p_ve.error)
 
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ge.add_argument("--p", type=float, default=None, help="werner mixing parameter")
     p_ge.add_argument("--dims", type=_parse_dims, default=(2, 2))
     p_ge.add_argument("--rank", type=int, default=None)
-    p_ge.add_argument("--seed", type=int, default=0)
+    p_ge.add_argument("--seed", type=_integer("seed", 0), default=0)
     p_ge.add_argument("--output", "-o", required=True)
     p_ge.set_defaults(func=cmd_generate)
     return parser

@@ -18,18 +18,26 @@ search_bases takes a list of jobs, each a (state, objective, sense), and
 runs every restart of every job on the same dims and objective as rows of
 one batch.  Every step computes each row on its own, so batching changes
 no row's path: a job's result is bit for bit the one it gives when
-searched alone.  Three loops run the batches:
+searched alone.  Two loops run the batches:
 
-  one-sided Jacobi (class1, class2)   sweeps of exact Givens steps on side A
-  alternating Jacobi (tilde_total, total; class3 on 2 x 2)
-                                      a sweep on side A, then one on side B
-  simplex (class3 on other dims)      a lockstep Nelder-Mead simplex
+  one-sided (class1, class2)        sweeps of steps on side A
+  alternating (tilde_total, total, class3)
+                                    a sweep on side A, then one on side B
 
 class2 of a state is class1 of the state with its parties exchanged, so a
 class2 job is searched as a class1 job on the swapped state (the same
 seeded starts) and its basis is swapped back.  A one-sided search
 therefore only ever rotates side A; the sum over the other, complete local
 index is basis independent.
+
+Starts.  Every family is a sum of squared moduli, and a diagonal phase
+matrix D only rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B
+leave all sums unchanged.  So a restart starts on the quotient by diagonal
+phases: each varied side from U = exp(i H) with an off-diagonal Hermitian
+H, whose d^2 - d real coefficients (not d^2) the restart's seed draws.  The
+curves t -> exp(i t X) with off-diagonal X project to the geodesics through
+the identity class of the compact quotient, so by Hopf-Rinow they reach
+every class: a start can fall on any product basis up to phases.
 
 One-sided.  Write rho = sum A_jj' x |j><j'|.  Then class1 after U_A is
 |rho|^2 - sum_r sum_k (U_A H_r U_A^dag)_kk^2, where the n^2 Hermitian m x m
@@ -39,38 +47,32 @@ diagonalization, and for each pair of levels (p, q) the best Givens
 rotation has a closed form (Cardoso & Souloumiac, SIAM J. Matrix Anal.
 Appl. 17, 161 (1996)): the top eigenvector of a real 3 x 3 matrix for the
 minimum, the bottom one for the maximum.  Each step is the exact optimum
-over its pair, so no step moves the objective the wrong way.  A restart
-starts from exp(i H) with seeded off-diagonal H, as below; an iteration is
-one sweep over all m(m - 1)/2 pairs and an evaluation one Givens step.
+over its pair, so no step moves the objective the wrong way.  An iteration
+is one sweep over all m(m - 1)/2 pairs and an evaluation one Givens step.
 
 Alternating.  With U_B held, the blocks A_jj' are those of
 (1 x U_B) rho (1 x U_B)^dag, and each two-sided family below is a constant
-less the diagonal mass of a stack of Hermitian matrices under U_A:
+less the diagonal mass of a stack of Hermitian matrices under U_A, so a
+side's sweep is the one-sided loop's (_jacobi_sweep):
 
   tilde_total     the n diagonal blocks A_jj
   total           the class1 stack above (class2 does not see U_A)
   class3 (2 x 2)  P and Q of A_01 = P + i Q: class3 is 2|A_01|^2 less
                   twice their diagonal mass
 
-The same holds for U_B on the party-swapped state.  So an iteration is one
-sweep on side A and then one on side B, each with U_A's steps, and no step
-moves the objective the wrong way; an evaluation is one Givens step.  A
-restart starts from the simplex's start below.
+class3 on other dims is no diagonal-mass problem: with U_B held it is
+sum_j sum_k |(U_A A_j,n-1-j U_A^dag)_k,m-1-k|^2.  A side's sweep then takes
+two line steps on each pair (p, q), along the real and the imaginary
+Givens curve (_line_sweep).  Along either curve the sum is a trigonometric
+polynomial of degree 4 in the angle, which five samples fix, and the step
+goes to its minimum.  The same holds for U_B on the party-swapped state.
+So an iteration is one sweep on side A and then one on side B, and no step
+moves the objective the wrong way; an evaluation is one Givens step, or
+one line step (two per pair) for class3 off two qubits.
 
-Both Jacobi loops stop a row once _settled finds its objective settled:
-this iteration's move, and the tail that the ratio of its last two moves
+Both loops stop a row once _settled finds its objective settled: this
+iteration's move, and the tail that the ratio of its last two moves
 predicts, are both at most the tolerance.
-
-Simplex.  class3 off two qubits is not a diagonal-mass problem on either
-side.  Every family is a sum of squared moduli, and a diagonal phase
-matrix D only rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B
-leave all sums unchanged.  So the simplex runs on the quotient by diagonal
-phases: each varied side is U = exp(i H) with an off-diagonal Hermitian H,
-d^2 - d real coefficients instead of d^2.  The curves t -> exp(i t X) with
-off-diagonal X project to the geodesics through the identity class of the
-compact quotient, so by Hopf-Rinow they reach every class: the search still
-covers every product basis up to phases.  An iteration is one lockstep
-simplex iteration and an evaluation one objective value of one row.
 """
 
 import math
@@ -80,7 +82,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
-from .simplex import minimize_batch
+# No search runs the simplex; the name stays only because bench/tracing.py wraps it.
+from .simplex import minimize_batch  # noqa: F401
 from .states import DensityMatrix, _check_finite, _swap_parties, swap_subsystems
 
 UNITARITY_TOL = 1e-9
@@ -202,17 +205,15 @@ class OptimizerConfig:
     can be evaluated in any order (the reduction takes the minimum, ties
     resolved toward the lowest restart index).
 
-    max_iterations caps each restart's iterations: Jacobi sweeps for a
-    one-sided objective (class1, class2), alternations (a sweep on each
-    side) for tilde_total, total and two-qubit class3, simplex iterations
-    for class3 on other dims.  A Jacobi restart stops once its objective
-    has settled: its last iteration moved it by at most objective_tolerance,
+    max_iterations caps each restart's iterations: sweeps for a one-sided
+    objective (class1, class2), alternations (a sweep on each side) for
+    tilde_total, total and class3.  A restart stops once its objective has
+    settled: its last iteration moved it by at most objective_tolerance,
     and so does the rest of the way as the ratio r of its last two moves
-    predicts it (move * r / (1 - r), r capped at RATIO_CAP).  A simplex
-    restart stops when the objective's spread over its simplex drops to
-    objective_tolerance.  A restart that stopped by the tolerance counts as
-    converged.  BasisOptimum.evaluations counts Givens steps (Jacobi) or
-    objective values (simplex).
+    predicts it (move * r / (1 - r), r capped at RATIO_CAP).  Such a
+    restart counts as converged.  BasisOptimum.evaluations counts steps:
+    Givens steps, one per pair of levels in a sweep, or for class3 off two
+    qubits line steps, two per pair.
     """
 
     restarts: int = 32
@@ -225,6 +226,8 @@ class OptimizerConfig:
             raise DiscohError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise DiscohError("max_iterations must be at least 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise DiscohError(f"seed must be at least 0, got {self.seed}")
         if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance > 0.0):
             # an infinite tolerance counts every restart converged before it moves
             raise DiscohError(
@@ -372,6 +375,13 @@ def _anti_diagonal_parts(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.stack((0.5 * (a + a_dag), -0.5j * (a - a_dag)), axis=1)
 
 
+def _anti_diagonal_blocks(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The n blocks A_j,n-1-j of each rho, with
+    class3(U x 1) = sum_j sum_k |(U A_j,n-1-j U^dag)_k,m-1-k|^2."""
+    j = np.arange(n)
+    return _blocks(mats, m, n)[:, j, j[::-1]]
+
+
 # Per alternating objective: the stack whose diagonal mass under U_A, with U_B
 # held, the objective is a constant less.  Side B's is the party-swapped state's.
 _STACKS = {
@@ -410,6 +420,123 @@ def _jacobi_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
         up, uq = u[:, p, :], u[:, q, :]
         c2, s2 = c[:, None], s[:, None]
         u[:, p, :], u[:, q, :] = c2 * up + s2.conj() * uq, c2 * uq - s2 * up
+
+
+# The two Givens curves of a line step on levels (p, q), as (G_pq, G_qp) per
+# unit sin t: the real [[cos t, -sin t], [sin t, cos t]] and the imaginary
+# [[cos t, i sin t], [i sin t, cos t]].
+_CURVES = ((-1.0, 1.0), (1j, 1j))
+
+# Along a curve the signed class3 sum is a0 + Re(C1 z + C2 z^2) with
+# z = exp(2 i t).  A line step samples it at t = j pi / 5, and the five
+# values give the fit less a0 on a grid of 2t that holds 0, and C1 and C2.
+_SAMPLE_T = np.pi * np.arange(5) / 5
+_GRID_PHI = 2.0 * np.pi * np.arange(32) / 32  # 2t
+_NEWTON_STEPS = 2
+
+
+def _fit_weights() -> np.ndarray:
+    """(5, 36, 1) weights taking the samples to the fit less a0 on the grid,
+    then the real and imaginary parts of C1 and C2."""
+    coef = 0.4 * np.exp(-2j * np.outer((1, 2), _SAMPLE_T))
+    z = np.exp(1j * _GRID_PHI)
+    grid = (coef[0][:, None] * z + coef[1][:, None] * z * z).real
+    parts = np.stack((coef[0].real, coef[0].imag, coef[1].real, coef[1].imag), axis=1)
+    return np.concatenate((grid, parts), axis=1)[:, :, None]
+
+
+_FIT = _fit_weights()
+
+
+def _weighted_sum(values, weights) -> np.ndarray:
+    """sum_i values[i] * weights[i], added in index order over whole arrays."""
+    total = values[0] * weights[0]
+    for value, weight in zip(values[1:], weights[1:]):
+        total += value * weight
+    return total
+
+
+@lru_cache(maxsize=None)
+def _line_terms(m: int, p: int, q: int, curve: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the anti-diagonal entries of G x G^dag that a step on (p, q) moves
+    draw on x, at the five sample angles of a curve.
+
+    The moved entries are (k, m - 1 - k) for the E levels k in {p, q,
+    m - 1 - p, m - 1 - q}.  Entry e at sample j is sum_t weights[t, j, e]
+    x[a[t, e], b[t, e]], over at most four terms t (the rest weigh 0);
+    weights has shape (4, 5, E, 1, 1).
+    """
+    g_pq, g_qp = _CURVES[curve]
+    c, s = np.cos(_SAMPLE_T), np.sin(_SAMPLE_T)
+    g = np.tile(np.eye(m, dtype=complex), (5, 1, 1))
+    g[:, p, p] = g[:, q, q] = c
+    g[:, p, q], g[:, q, p] = g_pq * s, g_qp * s
+    levels = sorted({p, q, m - 1 - p, m - 1 - q})
+    a, b = np.zeros((2, 4, len(levels)), dtype=np.intp)
+    weights = np.zeros((4, 5, len(levels), 1, 1), dtype=complex)
+    for e, k in enumerate(levels):
+        sources = [(p, q) if i in (p, q) else (i,) for i in (k, m - 1 - k)]
+        for t, (i, j) in enumerate((i, j) for i in sources[0] for j in sources[1]):
+            a[t, e], b[t, e] = i, j
+            weights[t, :, e, 0, 0] = g[:, k, i] * g[:, m - 1 - k, j].conj()
+    return a, b, weights
+
+
+def _line_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
+    """One sweep of line steps over every pair of levels, in place.
+
+    x (rows, R, m, m) holds U B_r U^dag of each row's anti-diagonal blocks
+    B_r (_anti_diagonal_blocks) and u (rows, m, m) its U.  A row minimizes
+    its signed class3 sum, sign * sum_r sum_k |(x_r)_k,m-1-k|^2 with sign
+    +1 where top is set (a minimum) and -1 elsewhere.  On each pair (p, q)
+    it steps along the real Givens curve and then the imaginary one.  Every
+    rotated entry is bilinear in (cos t, sin t), and t -> t + pi only
+    rephases rows p and q, so along a curve the sum is exactly a0 +
+    a1 cos 2t + b1 sin 2t + a2 cos 4t + b2 sin 4t: its values at
+    t = j pi / 5 fix it.  Entries that no step on (p, q) moves only add to
+    a0, so they are left out.  The step goes to the fit's best grid angle,
+    polished by Newton steps where that is no higher.  The grid holds
+    t = 0, so no step raises the fitted sum.
+
+    The sweep works on copies with the rows last, so elementwise operations
+    run along rows, and every sum adds in a fixed order, over whole arrays
+    or along a last axis of fixed length: no result of a row depends on the
+    rows beside it.
+    """
+    rows = np.arange(len(x))
+    sign = np.where(top, 1.0, -1.0)
+    xt, ut = x.transpose(2, 3, 1, 0).copy(), u.transpose(1, 2, 0).copy()
+    for p, q in zip(*_pair_indices(x.shape[-1])):
+        for curve, (g_pq, g_qp) in enumerate(_CURVES):
+            a, b, weights = _line_terms(x.shape[-1], p, q, curve)
+            e = _weighted_sum(xt[a, b][:, None], weights)  # (5, E, R, rows)
+            moduli = (e.real * e.real + e.imag * e.imag).reshape(5, -1, len(x))
+            samples = sign * np.ascontiguousarray(moduli.swapaxes(1, 2)).sum(axis=-1)
+            fitted = _weighted_sum(samples, _FIT)
+            fit, c1, c2 = fitted[:-4], fitted[-4] + 1j * fitted[-3], fitted[-2] + 1j * fitted[-1]
+            best = np.argmin(fit, axis=0)
+            phi, low = _GRID_PHI[best], fit[best, rows]
+            polished = phi
+            for _ in range(_NEWTON_STEPS):
+                z = np.exp(1j * polished)
+                w1, w2 = c1 * z, c2 * z * z
+                slope = -(w1.imag + 2.0 * w2.imag)
+                curvature = -(w1.real + 4.0 * w2.real)
+                step = np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature > 0.0)
+                polished = polished - step
+            z = np.exp(1j * polished)
+            half = 0.5 * np.where((c1 * z + c2 * z * z).real <= low, polished, phi)
+            c, s = np.cos(half), np.sin(half)
+            # x -> G x G^dag and u -> G u with G = [[c, g_pq s], [g_qp s, c]] on (p, q)
+            pq, qp = g_pq * s, g_qp * s
+            xp, xq = xt[p], xt[q]
+            xt[p], xt[q] = c * xp + pq * xq, qp * xp + c * xq
+            xp, xq = xt[:, p], xt[:, q]
+            xt[:, p], xt[:, q] = c * xp + np.conj(pq) * xq, np.conj(qp) * xp + c * xq
+            up, uq = ut[p], ut[q]
+            ut[p], ut[q] = c * up + pq * uq, qp * up + c * uq
+    x[...] = xt.transpose(3, 2, 0, 1)
+    u[...] = ut.transpose(2, 0, 1)
 
 
 # The slowest per-iteration contraction the stop rule's tail estimate assumes.
@@ -489,19 +616,22 @@ def _jacobi_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
 
 
 def _alternating_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
-    """Every restart of every two-sided job in the group, as rows of one Jacobi search.
+    """Every restart of every two-sided job in the group, as rows of one alternating search.
 
     The jobs share dims and objective.  An iteration (an alternation) is
     one sweep on side A, on the stack of the state rotated by both current
     unitaries, and then one on side B, on the stack of the party-swapped
-    state rotated by the new ones.  Restart i starts from
-    unitaries_from_params of the seeded coefficients the simplex would
-    start from, side A's first.  A row stops once its class sum has
-    settled (converged), or after max_iterations alternations; its value is
-    the class sum of its final basis.
+    state rotated by the new ones: Jacobi sweeps, or line sweeps for
+    class3 off two qubits.  Restart i starts from unitaries_from_params of
+    its seeded coefficients, side A's first.  A row stops once its class
+    sum has settled (converged), or after max_iterations alternations; its
+    value is the class sum of its final basis.
     """
     m, n = dims
-    stack = _STACKS[jobs[0][1]]
+    if jobs[0][1] == "class3" and dims != (2, 2):
+        stack, sweep, steps = _anti_diagonal_blocks, _line_sweep, 2  # line steps per pair
+    else:
+        stack, sweep, steps = _STACKS[jobs[0][1]], _jacobi_sweep, 1
     job, top = _rows(jobs, cfg)
     starts = _side_unitaries(_starts(m * m - m + n * n - n, cfg), m, n)
     ua, ub = (np.tile(u, (len(jobs), 1, 1)) for u in starts)
@@ -517,9 +647,9 @@ def _alternating_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
         a, b, rows, t = ua[active], ub[active], mats[active], top[active]
         # C order: numpy's elementwise kernels round by memory layout, and a
         # stack's layout would otherwise depend on how many rows it has
-        _jacobi_sweep(np.ascontiguousarray(stack(rot[active], m, n)), a, t)
+        sweep(np.ascontiguousarray(stack(rot[active], m, n)), a, t)
         swapped = _swap_parties(_rotate(a, b, rows), m, n)
-        _jacobi_sweep(np.ascontiguousarray(stack(swapped, n, m)), b, t)
+        sweep(np.ascontiguousarray(stack(swapped, n, m)), b, t)
         r = _rotate(a, b, rows)
         moved = _class_sums(r, weights[active])
         move = np.abs(moved - values[active])
@@ -533,50 +663,7 @@ def _alternating_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
         lambda rows: (ua[rows], ub[rows]),
         converged,
         alternations,
-        alternations * (m * (m - 1) // 2 + n * (n - 1) // 2),  # Givens steps
-        cfg.objective_tolerance,
-    )
-
-
-def _group_objective(jobs, dims, restarts: int):
-    """Objective over the rows of one simplex group (class3 off two qubits).
-
-    A row's first m^2 - m coefficients rotate side A and the rest side B.
-    Row r of the batch searches job r // restarts; minimize_batch passes r
-    as the last column of each row.  Every step works row by row (the class
-    sum too: a matrix-vector product would round each row differently
-    depending on the rows beside it), so a row's value never depends on
-    which other rows share the call.
-    """
-    m, n = dims
-    mats = np.stack([rho.mat for rho, _, _ in jobs])
-    weights = _weights(jobs, m, n)
-
-    def fn(block):
-        job = block[:, -1].astype(np.intp) // restarts
-        ua, ub = _side_unitaries(block[:, :-1], m, n)
-        return _class_sums(_rotate(ua, ub, mats[job]), weights[job])
-
-    return fn
-
-
-def _simplex_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
-    """One lockstep simplex over every restart of every job in the group."""
-    m, n = dims
-    res = minimize_batch(
-        _group_objective(jobs, dims, cfg.restarts),
-        np.tile(_starts(m * m - m + n * n - n, cfg), (len(jobs), 1)),
-        step=0.5,
-        tol=cfg.objective_tolerance,
-        max_iter=cfg.max_iterations,
-    )
-    return _optima(
-        jobs,
-        res.value.reshape(len(jobs), cfg.restarts),
-        lambda rows: _side_unitaries(res.x[rows], m, n),
-        res.converged,
-        res.row_iterations,
-        res.row_evaluations,
+        alternations * steps * (m * (m - 1) // 2 + n * (n - 1) // 2),  # Givens or line steps
         cfg.objective_tolerance,
     )
 
@@ -603,8 +690,8 @@ def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptim
 
     Jobs on the same dims with the same objective run as rows of one batch,
     config.restarts rows per job and at most MAX_ROWS rows a call: one
-    lockstep simplex for class3 off two qubits, one Jacobi search for every
-    other group.  A class2 job runs as class1 of the swapped state, so it
+    one-sided search for class1, one alternating search for every other
+    group.  A class2 job runs as class1 of the swapped state, so it
     shares a batch with the class1 jobs on the swapped dims.  Each job's
     BasisOptimum equals, bit for bit, the one it gives when searched alone.
     """
@@ -612,12 +699,7 @@ def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptim
     per_call = max(1, MAX_ROWS // cfg.restarts)
     optima = [None] * len(jobs)
     for (dims, objective), members in _groups(jobs).items():
-        if objective == "class1":
-            search = _jacobi_group
-        elif objective == "class3" and dims != (2, 2):
-            search = _simplex_group
-        else:
-            search = _alternating_group
+        search = _jacobi_group if objective == "class1" else _alternating_group
         for start in range(0, len(members), per_call):
             chunk = members[start : start + per_call]
             found = search([job for _, job in chunk], dims, cfg)

@@ -248,6 +248,8 @@ def run_suite(
     tol = suite.tol if tol is None else tol
     if trials < 1:
         raise DiscohError(f"trials must be at least 1, got {trials}")
+    if seed < 0:  # trial i draws from seed + i, and numpy's generators take no negative seed
+        raise DiscohError(f"seed must be at least 0, got {seed}")
     if workers < 1:
         raise DiscohError(f"workers must be at least 1, got {workers}")
     if not math.isfinite(tol):

@@ -51,6 +51,24 @@ def test_traced_run_reads_every_metric_and_changes_nothing(tracing, tmp_path, ca
     assert metrics["simplex.runs"] == 0  # two-qubit searches never reach the simplex
 
 
+def test_traced_qudit_class3_search_changes_nothing(tracing, tmp_path, capsys):
+    # class3 off two qubits runs line sweeps, so no search reaches the simplex
+    pure = tmp_path / "pure23.json"
+    argv = ["generate", "random-pure", "--dims", "2x3", "--seed", "9", "-o", str(pure)]
+    assert cli.main(argv) == 0
+    argv = ["analyze", str(pure), "--measures", "v,v_tilde", "--method", "numeric", "--format", "json"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = tracing.Tracer().install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == plain
+    assert tracer.metrics()["simplex.runs"] == 0
+
+
 def test_uninstall_restores_the_program(tracing):
     from discoh import coherence, states
 

@@ -89,11 +89,29 @@ class TestExitCodes:
         assert "PASS" not in out
         assert flags[0] in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "generate"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        # numpy's generators take no negative seed; the parser turns it away
+        path = tmp_path / "w.json"
+        run_cli("generate", "werner", "--p", "0.8", "-o", str(path), capsys=capsys)
+        monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        written = tmp_path / "x.json"
+        argv = {
+            "analyze": ("analyze", str(path), "--method", "numeric", "--measures", "v"),
+            "verify": ("verify", "eq64", "--trials", "2"),
+            "generate": ("generate", "random-pure", "--dims", "2x3", "-o", str(written)),
+        }[command]
+        code, out, err = run_cli(*argv, "--seed", "-1", capsys=capsys)
+        assert code == 1
+        assert "--seed" in err and "at least 0" in err and out == ""
+        assert not written.exists()
+
     @pytest.mark.parametrize("tolerance", ["inf", "nan"])
     def test_non_finite_objective_tolerance_is_usage_error(
         self, tolerance, tmp_path, capsys, monkeypatch
     ):
-        # an infinite tolerance counts every restart converged at its starting simplex
+        # an infinite tolerance counts every restart converged before it moves
         path = tmp_path / "w.json"
         run_cli("generate", "werner", "--p", "0.8", "-o", str(path), capsys=capsys)
         monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))

@@ -23,13 +23,14 @@ from discoh.coherence import (
     unitaries_from_params,
 )
 from discoh import coherence
-from discoh.coherence import _group_objective, _groups, _settled
+from discoh.coherence import _anti_diagonal_blocks, _groups, _line_sweep, _rotate, _settled
 from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
 from discoh.linalg import identity, kron
 from discoh.nonlocality import direction_basis, v_measures_analytic
 from discoh.states import (
     DensityMatrix,
     PureState,
+    _swap_parties,
     make_bell,
     make_werner,
     random_mixed,
@@ -318,6 +319,8 @@ class TestBasisSearch:
             OptimizerConfig(restarts=0)
         with pytest.raises(DiscohError):
             OptimizerConfig(objective_tolerance=-1.0)
+        with pytest.raises(DiscohError, match="seed"):
+            OptimizerConfig(seed=-1)  # numpy's generators take no negative seed
 
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
     def test_config_rejects_non_finite_tolerance(self, tolerance):
@@ -351,8 +354,8 @@ def assert_same_optimum(a, b):
 
 
 def count_engine_calls(monkeypatch):
-    """Rows of each simplex call, and jobs of each one-sided and each alternating Jacobi
-    call, as lists filled in later."""
+    """Rows of each simplex call, and jobs of each one-sided and each alternating
+    search call, as lists filled in later."""
     simplex_rows, jacobi_jobs, alternating_jobs = [], [], []
     simplex = coherence.minimize_batch
 
@@ -376,6 +379,7 @@ def count_engine_calls(monkeypatch):
 
 
 def on_simplex(objective, dims):
+    """Whether a job is class3 off two qubits, which line sweeps search."""
     return objective == "class3" and dims != (2, 2)
 
 
@@ -384,7 +388,7 @@ class TestBatchedSearch:
         "config",
         [
             OptimizerConfig(restarts=1, seed=2),
-            OptimizerConfig(restarts=8, seed=0, max_iterations=150),
+            OptimizerConfig(restarts=8, seed=0, max_iterations=10),
         ],
     )
     def test_batched_equals_alone(self, config):
@@ -395,13 +399,13 @@ class TestBatchedSearch:
         for job, got in zip(jobs, batched):
             assert got.objective == job[1]
             assert_same_optimum(got, search_bases([job], config)[0])
-        if config.max_iterations == 150:
-            assert any(opt.iterations == 150 and not opt.converged for opt in batched)
+        if config.max_iterations == 10:
+            assert any(opt.iterations == 10 and not opt.converged for opt in batched)
 
     def test_one_simplex_per_dims_and_coefficient_count(self, monkeypatch):
         # class1 and class2 share a Jacobi batch on square dims, whatever their
-        # sense; the two-sided jobs batch by dims and objective, and only class3
-        # off two qubits reaches the simplex
+        # sense; the two-sided jobs batch by dims and objective, class3 off two
+        # qubits included, and no job reaches the simplex
         simplex_rows, jacobi_jobs, alternating_jobs = count_engine_calls(monkeypatch)
         qubits, qutrits = random_mixed((2, 2), 4, seed=3), random_mixed((3, 3), 9, seed=3)
         jobs = [(qubits, "class1", MIN), (qutrits, "class2", MIN), (qubits, "class2", MAX)]
@@ -409,8 +413,8 @@ class TestBatchedSearch:
         jobs += [(qutrits, "class3", MAX), (qubits, "class3", MAX), (qutrits, "tilde_total", MIN)]
         search_bases(jobs, OptimizerConfig(restarts=2, max_iterations=5))
         assert jacobi_jobs == [2, 2]
-        assert alternating_jobs == [2, 1, 1]
-        assert simplex_rows == [2]
+        assert alternating_jobs == [2, 1, 1, 1]
+        assert simplex_rows == []
 
     def test_row_cap_splits_a_group_without_changing_results(self, monkeypatch):
         jobs = every_job(70)
@@ -421,36 +425,45 @@ class TestBatchedSearch:
         for a, b in zip(whole, search_bases(jobs, config)):
             assert_same_optimum(a, b)
         one_sided = sum(objective in ("class1", "class2") for _, objective, _ in jobs)
-        simplex = sum(on_simplex(objective, rho.dims) for rho, objective, _ in jobs)
+        assert any(on_simplex(objective, rho.dims) for rho, objective, _ in jobs)
         assert jacobi_jobs == [1] * one_sided
-        assert simplex_rows == [config.restarts] * simplex
-        assert alternating_jobs == [1] * (len(jobs) - one_sided - simplex)
+        assert alternating_jobs == [1] * (len(jobs) - one_sided)
+        assert simplex_rows == []
 
     def test_unknown_sense(self):
         with pytest.raises(DiscohError):
             search_bases([(make_werner(0.3), "class1", "sideways")], FAST)
 
     def test_objective_values_do_not_depend_on_the_rest_of_the_block(self):
-        # a block of a simplex group (class3 off two qubits) gives each row the
-        # value it gets in any split of the block
-        restarts = 3
+        # a line sweep of a class3 group off two qubits, on either side, gives
+        # each row the stack and unitary it gets in any split of the block
         rng = np.random.default_rng(5)
         groups = _groups(every_job(60))
         assert sum(on_simplex(objective, dims) for dims, objective in groups) == 4
         for (dims, objective), members in groups.items():
             if not on_simplex(objective, dims):
                 continue
-            jobs = [job for _, job in members]
-            count = dims[0] * dims[0] - dims[0] + dims[1] * dims[1] - dims[1]
-            fn = _group_objective(jobs, dims, restarts)
-            rows = len(jobs) * restarts
-            index = rng.permutation(np.repeat(np.arange(rows), 4)).astype(float)
-            block = np.column_stack((rng.uniform(-np.pi, np.pi, (index.size, count)), index))
-            whole = fn(block)
-            cuts = np.sort(rng.choice(np.arange(1, index.size), size=6, replace=False))
-            for parts in (np.split(np.arange(index.size), cuts), np.arange(index.size)[:, None]):
-                split = np.concatenate([fn(block[part]) for part in parts])
-                assert np.array_equal(split, whole), (dims, count)
+            m, n = dims
+            mats = np.stack([rho.mat for _, (rho, _, _) in members])
+            rows = rng.permutation(np.repeat(np.arange(len(mats)), 12))
+            ua = np.stack([random_unitary(m, 400 + k) for k in range(rows.size)])
+            ub = np.stack([random_unitary(n, 500 + k) for k in range(rows.size)])
+            rot = _rotate(ua, ub, mats[rows])
+            top = rng.random(rows.size) < 0.5
+            cuts = np.sort(rng.choice(np.arange(1, rows.size), size=6, replace=False))
+            for x, u in (
+                (_anti_diagonal_blocks(rot, m, n), ua),
+                (_anti_diagonal_blocks(_swap_parties(rot, m, n), n, m), ub),
+            ):
+                x = np.ascontiguousarray(x)
+                whole_x, whole_u = x.copy(), u.copy()
+                _line_sweep(whole_x, whole_u, top)
+                for parts in (np.split(np.arange(rows.size), cuts), np.arange(rows.size)[:, None]):
+                    for part in parts:
+                        split_x, split_u = x[part], u[part]
+                        _line_sweep(split_x, split_u, top[part])
+                        assert np.array_equal(split_x, whole_x[part]), dims
+                        assert np.array_equal(split_u, whole_u[part]), dims
 
 
 def gell_mann(d):
@@ -577,10 +590,54 @@ class TestExactTwoSidedOptima:
             assert max(d_ab, d_ba) - 1e-12 <= d_tilde <= d_ab + d_ba + 1e-12, (dims, seed)
 
 
+def schmidt_basis(psi, relabel=None):
+    """The product basis that writes psi as sum_i s_i |i>|relabel^-1(i)>.
+
+    With a = u_a diag(s) u_b^dag from schmidt_decompose, U_A = u_a^dag and
+    U_B = P u_b^T turn the coefficient matrix into diag(s) P^T, P being the
+    permutation that takes row relabel[r] to row r.
+    """
+    _, u_a, u_b = schmidt_decompose(psi)
+    u_b = u_b.T if relabel is None else u_b.T[list(relabel)]
+    return LocalBasisPair(u_a.conj().T, u_b)
+
+
+class TestExactClass3Minima:
+    """min class3 of a pure state is 0: a basis that no search found shows it."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 2), (4, 2)])
+    def test_the_schmidt_basis_of_a_qubit_qudit_state_has_no_class3(self, dims):
+        # the nonzero entries have k' = k and l' = l, so k + l = k' + l', while
+        # the anti-diagonals need 1 on the qubit side and at least 2 on the other
+        for seed in range(3):
+            psi = random_pure(dims, seed=340 + seed)
+            assert contributions(psi.to_density(), schmidt_basis(psi)).class3 < 1e-15
+
+    def test_a_relabelled_schmidt_basis_of_a_qutrit_pair_has_no_class3(self):
+        # sum_i s_i |i>|pi(i)> with pi = (1 0 2): no (k, l) with k + l = 2 has
+        # pi(k) + pi(l) = 2, so no nonzero entry is on both anti-diagonals
+        for seed in range(3):
+            psi = random_pure((3, 3), seed=350 + seed)
+            plain = contributions(psi.to_density(), schmidt_basis(psi)).class3
+            relabelled = contributions(psi.to_density(), schmidt_basis(psi, (1, 0, 2))).class3
+            assert plain > 1e-3 and relabelled < 1e-15
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 2)])
+    def test_the_search_reaches_zero_on_qubit_qudit_pure_states(self, dims):
+        for seed in range(3):
+            rho = random_pure(dims, seed=340 + seed).to_density()
+            assert minimize_over_bases(rho, "class3").value <= 1e-9, (dims, seed)
+
+
 class TestAlternatingSteps:
     @pytest.mark.parametrize(
         "dims, objective, senses",
-        [((2, 2), "class3", (MIN, MAX)), ((3, 3), "tilde_total", (MIN,))],
+        [
+            ((2, 2), "class3", (MIN, MAX)),
+            ((3, 3), "tilde_total", (MIN,)),
+            ((2, 3), "class3", (MIN, MAX)),
+            ((3, 3), "class3", (MIN, MAX)),
+        ],
     )
     def test_more_alternations_never_move_the_optimum_back(self, dims, objective, senses):
         for seed in range(3):
@@ -597,7 +654,13 @@ class TestAlternatingSteps:
                 assert all(step * (later - earlier) <= 0.0 for earlier, later in zip(seen, seen[1:]))
 
     @pytest.mark.parametrize(
-        "dims, objective, steps", [((2, 2), "class3", 2), ((3, 3), "tilde_total", 6)]
+        "dims, objective, steps",
+        [
+            ((2, 2), "class3", 2),
+            ((3, 3), "tilde_total", 6),
+            ((2, 3), "class3", 8),  # two line steps on each of 1 + 3 pairs
+            ((3, 3), "class3", 12),
+        ],
     )
     def test_cap_before_the_tolerance_is_not_converged(self, dims, objective, steps):
         rho = random_mixed(dims, 4, seed=330)

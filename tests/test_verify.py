@@ -211,6 +211,11 @@ class TestRunSuite:
         with pytest.raises(DiscohError):
             run_suite("eq64", trials, tol)
 
+    def test_rejects_a_negative_seed(self):
+        # trial i draws from seed + i, and numpy's generators take no negative seed
+        with pytest.raises(DiscohError, match="seed"):
+            run_suite("eq64", 2, seed=-1)
+
     def test_rejects_options_the_suite_does_not_take(self):
         with pytest.raises(DiscohError, match="takes no dims"):
             run_suite("eq64", 3, dims=((2, 2),))
