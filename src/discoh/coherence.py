@@ -483,10 +483,11 @@ def _line_terms(m: int, p: int, q: int, curve: int) -> tuple[np.ndarray, np.ndar
 
 
 def _line_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
-    """One sweep of line steps over every pair of levels, in place.
+    """One sweep of line steps over every pair of levels, applied to u in place.
 
     x (rows, R, m, m) holds U B_r U^dag of each row's anti-diagonal blocks
-    B_r (_anti_diagonal_blocks) and u (rows, m, m) its U.  A row minimizes
+    B_r (_anti_diagonal_blocks) and u (rows, m, m) its U.  x is read, not
+    written: the caller rebuilds the stack from the new u.  A row minimizes
     its signed class3 sum, sign * sum_r sum_k |(x_r)_k,m-1-k|^2 with sign
     +1 where top is set (a minimum) and -1 elsewhere.  On each pair (p, q)
     it steps along the real Givens curve and then the imaginary one.  Every
@@ -498,7 +499,7 @@ def _line_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
     polished by Newton steps where that is no higher.  The grid holds
     t = 0, so no step raises the fitted sum.
 
-    The sweep works on copies with the rows last, so elementwise operations
+    The sweep works on a copy with the rows last, so elementwise operations
     run along rows, and every sum adds in a fixed order, over whole arrays
     or along a last axis of fixed length: no result of a row depends on the
     rows beside it.
@@ -535,7 +536,6 @@ def _line_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
             xt[:, p], xt[:, q] = c * xp + np.conj(pq) * xq, np.conj(qp) * xp + c * xq
             up, uq = ut[p], ut[q]
             ut[p], ut[q] = c * up + pq * uq, qp * up + c * uq
-    x[...] = xt.transpose(3, 2, 0, 1)
     u[...] = ut.transpose(2, 0, 1)
 
 
