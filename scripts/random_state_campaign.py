@@ -5,23 +5,18 @@ core); --scale shrinks everything proportionally for a quick look.
 """
 
 import argparse
-import math
 import sys
 
+from discoh.cli import _integer, _positive_float
 from discoh.verify import SUITES, run_suite
-
-
-def positive_scale(text: str) -> float:
-    scale = float(text)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise argparse.ArgumentTypeError(f"scale must be finite and positive, got {text!r}")
-    return scale
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scale", type=positive_scale, default=1.0, help="trial count multiplier")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument(
+        "--scale", type=_positive_float("scale"), default=1.0, help="trial count multiplier"
+    )
+    ap.add_argument("--seed", type=_integer("seed", 0), default=0)
     args = ap.parse_args()
 
     all_passed = True

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from discoh import OptimizerConfig, make_werner, minimize_over_bases, werner_sweep
+from discoh.cli import _integer
 from discoh.cli import main as discoh_main
 
 
@@ -18,7 +19,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--steps", type=int, default=201)
     ap.add_argument("--check", action="store_true", help="numeric spot checks at p = 0.25, 0.5, 0.9")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_integer("seed", 0), default=0)
     args = ap.parse_args()
 
     code = discoh_main(["sweep", "--steps", str(args.steps)])  # the `discoh sweep` CSV

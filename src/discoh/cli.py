@@ -87,6 +87,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(what: str):
+    """Parser of a float that must be finite and positive."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"{what} must be finite and positive, got {text!r}")
+        return value
+
+    parse.__name__ = what
+    return parse
+
+
 def _parse_measures(text: str) -> list[str]:
     if text == "all":
         return ["all"]
@@ -235,18 +248,24 @@ def cmd_generate(args) -> int:
 
 
 def _add_optimizer_flags(parser) -> None:
-    parser.add_argument("--restarts", type=int, default=None, help="search restarts (default 32)")
+    parser.add_argument(
+        "--restarts",
+        type=_integer("restarts", 1),
+        default=None,
+        help="search restarts (default 32)",
+    )
     parser.add_argument(
         "--max-iterations",
-        type=int,
+        type=_integer("max-iterations", 1),
         default=None,
-        help="cap per restart: sweeps (a step on every pair of levels) for d_ab, d_ba, "
-        "d_sym; alternations (a sweep on each side) for d_tilde, v, v_tilde; a step is one "
-        "exact Givens step, or for v, v_tilde off 2x2 two line steps (default 2000)",
+        help="cap per restart on iterations, an iteration being one sweep on each searched "
+        "side: one side for d_ab, d_ba, d_sym, both sides for d_tilde, v, v_tilde; a sweep "
+        "takes a step on every pair of levels, one exact Givens step, or for v, v_tilde off "
+        "2x2 two line steps (default 2000)",
     )
     parser.add_argument(
         "--objective-tolerance",
-        type=_finite_float,
+        type=_positive_float("objective-tolerance"),
         default=None,
         help="stop a restart once its last iteration moved its objective by at most this "
         "and the moves still to come, estimated from the ratio of its last two, add up to "
@@ -272,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--family", choices=("werner",), default="werner")
     p_sw.add_argument("--lo", type=float, default=0.0)
     p_sw.add_argument("--hi", type=float, default=1.0)
-    p_sw.add_argument("--steps", type=int, default=101)
+    p_sw.add_argument("--steps", type=_integer("steps", 2), default=101)
     p_sw.add_argument("--output", "-o", default=None)
     p_sw.set_defaults(func=cmd_sweep)
 
@@ -281,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--trials", type=_integer("trials", 1), default=None)
     p_ve.add_argument("--dims", type=_parse_dims_or_all, default=None, help="monogamy, corollary2")
     p_ve.add_argument(
-        "--samples", type=int, default=None, help="decompositions per trial (corollary1)"
+        "--samples",
+        type=_integer("samples", 1),
+        default=None,
+        help="decompositions per trial (corollary1)",
     )
     p_ve.add_argument("--seed", type=_integer("seed", 0), default=0)
     p_ve.add_argument("--tol", type=_finite_float, default=None)
@@ -296,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ge.add_argument("--which", default="phi+", help="bell flavor: phi+ phi- psi+ psi-")
     p_ge.add_argument("--p", type=float, default=None, help="werner mixing parameter")
     p_ge.add_argument("--dims", type=_parse_dims, default=(2, 2))
-    p_ge.add_argument("--rank", type=int, default=None)
+    p_ge.add_argument("--rank", type=_integer("rank", 1), default=None)
     p_ge.add_argument("--seed", type=_integer("seed", 0), default=0)
     p_ge.add_argument("--output", "-o", required=True)
     p_ge.set_defaults(func=cmd_generate)

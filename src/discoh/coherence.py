@@ -18,17 +18,18 @@ search_bases takes a list of jobs, each a (state, objective, sense), and
 runs every restart of every job on the same dims and objective as rows of
 one batch.  Every step computes each row on its own, so batching changes
 no row's path: a job's result is bit for bit the one it gives when
-searched alone.  Two loops run the batches:
+searched alone.  One lockstep loop runs every batch; an iteration is one
+sweep on each searched side:
 
-  one-sided (class1, class2)        sweeps of steps on side A
-  alternating (tilde_total, total, class3)
+  one-sided (class1, class2)        a sweep on side A
+  two-sided (tilde_total, total, class3)
                                     a sweep on side A, then one on side B
 
 class2 of a state is class1 of the state with its parties exchanged, so a
 class2 job is searched as a class1 job on the swapped state (the same
 seeded starts) and its basis is swapped back.  A one-sided search
-therefore only ever rotates side A; the sum over the other, complete local
-index is basis independent.
+therefore only ever rotates side A and holds U_B at the identity; the sum
+over the other, complete local index is basis independent.
 
 Starts.  Every family is a sum of squared moduli, and a diagonal phase
 matrix D only rephases the rotated entries: U_A -> D_A U_A and U_B -> D_B U_B
@@ -47,13 +48,14 @@ diagonalization, and for each pair of levels (p, q) the best Givens
 rotation has a closed form (Cardoso & Souloumiac, SIAM J. Matrix Anal.
 Appl. 17, 161 (1996)): the top eigenvector of a real 3 x 3 matrix for the
 minimum, the bottom one for the maximum.  Each step is the exact optimum
-over its pair, so no step moves the objective the wrong way.  An iteration
-is one sweep over all m(m - 1)/2 pairs and an evaluation one Givens step.
+over its pair, so no step moves the objective the wrong way.  A sweep
+takes one Givens step on each of the m(m - 1)/2 pairs, and an evaluation
+is one Givens step.
 
-Alternating.  With U_B held, the blocks A_jj' are those of
+Two-sided.  With U_B held, the blocks A_jj' are those of
 (1 x U_B) rho (1 x U_B)^dag, and each two-sided family below is a constant
 less the diagonal mass of a stack of Hermitian matrices under U_A, so a
-side's sweep is the one-sided loop's (_jacobi_sweep):
+side's sweep is the one-sided search's (_jacobi_sweep):
 
   tilde_total     the n diagonal blocks A_jj
   total           the class1 stack above (class2 does not see U_A)
@@ -66,13 +68,13 @@ two line steps on each pair (p, q), along the real and the imaginary
 Givens curve (_line_sweep).  Along either curve the sum is a trigonometric
 polynomial of degree 4 in the angle, which five samples fix, and the step
 goes to its minimum.  The same holds for U_B on the party-swapped state.
-So an iteration is one sweep on side A and then one on side B, and no step
-moves the objective the wrong way; an evaluation is one Givens step, or
-one line step (two per pair) for class3 off two qubits.
+So no step moves the objective the wrong way; an evaluation is one Givens
+step, or one line step (two per pair) for class3 off two qubits.
 
-Both loops stop a row once _settled finds its objective settled: this
-iteration's move, and the tail that the ratio of its last two moves
-predicts, are both at most the tolerance.
+Each sweep starts from a stack rebuilt from the state rotated by the
+current unitaries.  The loop stops a row once _settled finds its objective
+settled: this iteration's move, and the tail that the ratio of its last
+two moves predicts, are both at most the tolerance.
 """
 
 import math
@@ -205,13 +207,14 @@ class OptimizerConfig:
     can be evaluated in any order (the reduction takes the minimum, ties
     resolved toward the lowest restart index).
 
-    max_iterations caps each restart's iterations: sweeps for a one-sided
-    objective (class1, class2), alternations (a sweep on each side) for
-    tilde_total, total and class3.  A restart stops once its objective has
-    settled: its last iteration moved it by at most objective_tolerance,
-    and so does the rest of the way as the ratio r of its last two moves
-    predicts it (move * r / (1 - r), r capped at RATIO_CAP).  Such a
-    restart counts as converged.  BasisOptimum.evaluations counts steps:
+    max_iterations caps each restart's iterations.  An iteration is one
+    sweep on each searched side: side A for class1 and class2 (class2 as
+    class1 of the swapped state), side A and then side B for tilde_total,
+    total and class3.  A restart stops once its objective has settled: its
+    last iteration moved it by at most objective_tolerance, and so does the
+    rest of the way as the ratio r of its last two moves predicts it
+    (move * r / (1 - r), r capped at RATIO_CAP).  Such a restart counts as
+    converged.  BasisOptimum.evaluations counts steps:
     Givens steps, one per pair of levels in a sweep, or for class3 off two
     qubits line steps, two per pair.
     """
@@ -293,36 +296,42 @@ def unitaries_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(-2, -1)
 
 
+@lru_cache(maxsize=64)
 def _starts(count: int, cfg: OptimizerConfig) -> np.ndarray:
-    """Restart i's start: count coefficients drawn from a generator seeded seed + i."""
-    return np.stack(
+    """Restart i's start: count coefficients drawn from a generator seeded seed + i.
+
+    Read-only, as every search on the same coefficient count and config shares it.
+    """
+    starts = np.stack(
         [
             np.random.default_rng(cfg.seed + i).uniform(-np.pi, np.pi, count)
             for i in range(cfg.restarts)
         ]
     )
+    starts.flags.writeable = False
+    return starts
 
 
-def _optima(jobs, values, bases, converged, row_iterations, row_evaluations, tol):
+def _optima(jobs, values, ua, ub, converged, row_iterations, row_evaluations, tol):
     """One BasisOptimum per job from the rows of its restarts.
 
     values (jobs, restarts) is the minimized objective (a maximum's sum
-    negated), bases(rows) the (u_a, u_b) of the given rows, and the rest
-    per-row arrays; job j's restarts are rows j * restarts onward.
+    negated) and the rest per-row arrays; job j's restarts are rows
+    j * restarts onward.
     """
     restarts = values.shape[1]
     best = np.argmin(values, axis=1)
     first = np.arange(len(jobs)) * restarts
-    ua, ub = bases(first + best)
     optima = []
     for j, (_, objective, sense) in enumerate(jobs):
         rows = slice(first[j], first[j] + restarts)
+        row = first[j] + best[j]
         value = float(values[j, best[j]])
         optima.append(
             BasisOptimum(
                 value=-value if sense == MAX else value,
-                basis=LocalBasisPair(ua[j].copy(), ub[j].copy()),
-                converged=bool(converged[first[j] + best[j]]),
+                basis=LocalBasisPair(ua[row].copy(), ub[row].copy()),
+                converged=bool(converged[row]),
                 iterations=int(row_iterations[rows].max()),
                 evaluations=int(row_evaluations[rows].sum()),
                 restart_index=int(best[j]),
@@ -382,12 +391,14 @@ def _anti_diagonal_blocks(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     return _blocks(mats, m, n)[:, j, j[::-1]]
 
 
-# Per alternating objective: the stack whose diagonal mass under U_A, with U_B
-# held, the objective is a constant less.  Side B's is the party-swapped state's.
-_STACKS = {
-    "total": _hermitian_stack,  # the class1 stack: class2 does not see side A
-    "tilde_total": _diagonal_blocks,
-    "class3": _anti_diagonal_parts,  # two qubits only
+# Per objective: the stack whose diagonal mass under U_A, with U_B held, the
+# objective is a constant less, and whether side B is searched too, on the
+# party-swapped state's stack.  class2 runs as class1 of the swapped state.
+_SEARCHES = {
+    "class1": (_hermitian_stack, False),
+    "total": (_hermitian_stack, True),  # class2 does not see side A
+    "tilde_total": (_diagonal_blocks, True),
+    "class3": (_anti_diagonal_parts, True),  # two qubits; line sweeps elsewhere
 }
 
 
@@ -557,113 +568,76 @@ def _settled(move: np.ndarray, last: np.ndarray, tol: float) -> np.ndarray:
     return move * np.maximum(1.0, r / (1.0 - r)) <= tol
 
 
-def _side_unitaries(theta: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Side A's and side B's unitaries from rows of coefficients, side A's first."""
-    na = m * m - m
-    return unitaries_from_params(theta[:, :na], m), unitaries_from_params(theta[:, na:], n)
+def _search_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
+    """Every restart of every job in the group, as rows of one lockstep search.
 
-
-def _diagonal_mass(x: np.ndarray) -> np.ndarray:
-    """sum_r sum_k (x_r)_kk^2 of each row of x (rows, R, m, m), row by row."""
-    d = np.diagonal(x, axis1=-2, axis2=-1).real
-    return (d * d).reshape(len(x), -1).sum(axis=1)
-
-
-def _rows(jobs, cfg: OptimizerConfig):
-    """Each row's job index and whether it takes the top eigenvector (a minimum)."""
-    job = np.repeat(np.arange(len(jobs)), cfg.restarts)
-    return job, np.repeat([sense == MIN for _, _, sense in jobs], cfg.restarts)
-
-
-def _jacobi_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
-    """Every restart of every class1 job in the group, as rows of one Jacobi search.
-
-    Restart i starts from unitaries_from_params of its seeded coefficients.
-    A row stops once its diagonal mass has settled (converged), or after
-    max_iterations sweeps; its value is the class sum of its final basis,
-    from the kernel contributions uses.
-    """
-    m, n = dims
-    job, top = _rows(jobs, cfg)
-    u = np.tile(unitaries_from_params(_starts(m * m - m, cfg), m), (len(jobs), 1, 1))
-    mats = np.stack([rho.mat for rho, _, _ in jobs])
-    x = (u[:, None] @ _hermitian_stack(mats, m, n)[job]) @ u.conj().swapaxes(-2, -1)[:, None]
-    mass = _diagonal_mass(x)
-    last = np.full(len(u), np.inf)
-    sweeps = np.zeros(len(u), dtype=np.int64)
-    converged = np.full(len(u), m < 2)  # a one-level side has nothing to rotate
-    active = np.flatnonzero(~converged)
-    while active.size:
-        xa, ua = x[active], u[active]
-        _jacobi_sweep(xa, ua, top[active])
-        moved = _diagonal_mass(xa)
-        move = np.abs(moved - mass[active])
-        sweeps[active] += 1
-        converged[active] = _settled(move, last[active], cfg.objective_tolerance)
-        x[active], u[active], mass[active], last[active] = xa, ua, moved, move
-        active = active[~converged[active] & (sweeps[active] < cfg.max_iterations)]
-    eye_b = np.eye(n, dtype=complex)[None]
-    values = _class_sums(_rotate(u, eye_b, mats[job]), _weights(jobs, m, n)[job])
-    return _optima(
-        jobs,
-        values.reshape(len(jobs), cfg.restarts),
-        lambda rows: (u[rows], np.broadcast_to(eye_b, (len(rows), n, n))),
-        converged,
-        sweeps,
-        sweeps * (m * (m - 1) // 2),  # Givens steps
-        cfg.objective_tolerance,
-    )
-
-
-def _alternating_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
-    """Every restart of every two-sided job in the group, as rows of one alternating search.
-
-    The jobs share dims and objective.  An iteration (an alternation) is
-    one sweep on side A, on the stack of the state rotated by both current
-    unitaries, and then one on side B, on the stack of the party-swapped
-    state rotated by the new ones: Jacobi sweeps, or line sweeps for
-    class3 off two qubits.  Restart i starts from unitaries_from_params of
-    its seeded coefficients, side A's first.  A row stops once its class
-    sum has settled (converged), or after max_iterations alternations; its
-    value is the class sum of its final basis.
+    The jobs share dims and objective.  An iteration is one sweep on side
+    A, on the stack of the state rotated by both current unitaries, and for
+    a two-sided objective then one on side B, on the stack of the
+    party-swapped state rotated by the new ones: Jacobi sweeps, or line
+    sweeps for class3 off two qubits.  Restart i starts from
+    unitaries_from_params of its seeded coefficients, side A's first; an
+    unsearched side B stays the identity.  A row stops once its class sum
+    has settled (converged), or after max_iterations iterations; its value
+    is the class sum of its final basis.
     """
     m, n = dims
     if jobs[0][1] == "class3" and dims != (2, 2):
-        stack, sweep, steps = _anti_diagonal_blocks, _line_sweep, 2  # line steps per pair
+        stack, two_sided, sweep, steps = _anti_diagonal_blocks, True, _line_sweep, 2
     else:
-        stack, sweep, steps = _STACKS[jobs[0][1]], _jacobi_sweep, 1
-    job, top = _rows(jobs, cfg)
-    starts = _side_unitaries(_starts(m * m - m + n * n - n, cfg), m, n)
-    ua, ub = (np.tile(u, (len(jobs), 1, 1)) for u in starts)
+        (stack, two_sided), sweep, steps = _SEARCHES[jobs[0][1]], _jacobi_sweep, 1
+    job = np.repeat(np.arange(len(jobs)), cfg.restarts)
+    top = np.repeat([sense == MIN for _, _, sense in jobs], cfg.restarts)  # a minimum
+    na = m * m - m
+    theta = _starts(na + (n * n - n if two_sided else 0), cfg)
+    ua = unitaries_from_params(theta[:, :na], m)
+    if two_sided:
+        ub = unitaries_from_params(theta[:, na:], n)
+    else:
+        ub = np.broadcast_to(np.eye(n, dtype=complex), (cfg.restarts, n, n))
+    ua, ub = np.tile(ua, (len(jobs), 1, 1)), np.tile(ub, (len(jobs), 1, 1))
     mats = np.stack([rho.mat for rho, _, _ in jobs])[job]
     weights = _weights(jobs, m, n)[job]
     rot = _rotate(ua, ub, mats)
     values = _class_sums(rot, weights)
-    last = np.full(len(job), np.inf)
-    alternations = np.zeros(len(job), dtype=np.int64)
-    converged = np.full(len(job), m < 2 and n < 2)  # nothing to rotate
-    active = np.flatnonzero(~converged)
-    while active.size:
-        a, b, rows, t = ua[active], ub[active], mats[active], top[active]
+    iterations = np.zeros(len(job), dtype=np.int64)
+    converged = np.full(len(job), m < 2 and (n < 2 or not two_sided))  # nothing to rotate
+    # The rows still running, compacted; a row is written back once it stops.
+    live = np.flatnonzero(~converged)
+    full = (ua, ub, mats, top, weights, rot, values, np.full(len(job), np.inf))
+    a, b, rows, t, w, r, v, last = (x[live] for x in full)
+    count = 0
+    while live.size:
         # C order: numpy's elementwise kernels round by memory layout, and a
         # stack's layout would otherwise depend on how many rows it has
-        sweep(np.ascontiguousarray(stack(rot[active], m, n)), a, t)
-        swapped = _swap_parties(_rotate(a, b, rows), m, n)
-        sweep(np.ascontiguousarray(stack(swapped, n, m)), b, t)
+        sweep(np.ascontiguousarray(stack(r, m, n)), a, t)
+        if two_sided:
+            swapped = _swap_parties(_rotate(a, b, rows), m, n)
+            sweep(np.ascontiguousarray(stack(swapped, n, m)), b, t)
         r = _rotate(a, b, rows)
-        moved = _class_sums(r, weights[active])
-        move = np.abs(moved - values[active])
-        alternations[active] += 1
-        converged[active] = _settled(move, last[active], cfg.objective_tolerance)
-        ua[active], ub[active], rot[active], values[active], last[active] = a, b, r, moved, move
-        active = active[~converged[active] & (alternations[active] < cfg.max_iterations)]
+        moved = _class_sums(r, w)
+        move = np.abs(moved - v)
+        settled = _settled(move, last, cfg.objective_tolerance)
+        v, last = moved, move
+        count += 1
+        stop = settled | (count >= cfg.max_iterations)
+        if stop.any():
+            done = live[stop]
+            ua[done], ub[done], values[done] = a[stop], b[stop], v[stop]
+            converged[done], iterations[done] = settled[stop], count
+            keep = ~stop
+            live, a, b, rows, t, w, r, v, last = (
+                x[keep] for x in (live, a, b, rows, t, w, r, v, last)
+            )
+    pairs = m * (m - 1) // 2 + (n * (n - 1) // 2 if two_sided else 0)
     return _optima(
         jobs,
         values.reshape(len(jobs), cfg.restarts),
-        lambda rows: (ua[rows], ub[rows]),
+        ua,
+        ub,
         converged,
-        alternations,
-        alternations * steps * (m * (m - 1) // 2 + n * (n - 1) // 2),  # Givens or line steps
+        iterations,
+        iterations * steps * pairs,  # Givens or line steps
         cfg.objective_tolerance,
     )
 
@@ -689,20 +663,18 @@ def search_bases(jobs, config: OptimizerConfig | None = None) -> list[BasisOptim
     """Optimum of each (state, objective, sense) job over product bases, in job order.
 
     Jobs on the same dims with the same objective run as rows of one batch,
-    config.restarts rows per job and at most MAX_ROWS rows a call: one
-    one-sided search for class1, one alternating search for every other
-    group.  A class2 job runs as class1 of the swapped state, so it
-    shares a batch with the class1 jobs on the swapped dims.  Each job's
-    BasisOptimum equals, bit for bit, the one it gives when searched alone.
+    config.restarts rows per job and at most MAX_ROWS rows a call.  A class2
+    job runs as class1 of the swapped state, so it shares a batch with the
+    class1 jobs on the swapped dims.  Each job's BasisOptimum equals, bit for
+    bit, the one it gives when searched alone.
     """
     cfg = config if config is not None else OptimizerConfig()
     per_call = max(1, MAX_ROWS // cfg.restarts)
     optima = [None] * len(jobs)
-    for (dims, objective), members in _groups(jobs).items():
-        search = _jacobi_group if objective == "class1" else _alternating_group
+    for (dims, _), members in _groups(jobs).items():
         for start in range(0, len(members), per_call):
             chunk = members[start : start + per_call]
-            found = search([job for _, job in chunk], dims, cfg)
+            found = _search_group([job for _, job in chunk], dims, cfg)
             for (index, _), optimum in zip(chunk, found):
                 if jobs[index][1] == "class2":  # swap the basis back to the job's parties
                     basis = LocalBasisPair(optimum.basis.u_b, optimum.basis.u_a)

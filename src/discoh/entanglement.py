@@ -15,12 +15,12 @@ import numpy as np
 
 from .coherence import contributions
 from .errors import ConsistencyError, DiscohError, ShapeError, UnsupportedDimensionError
-from .linalg import frobenius_sq, hermitian_eigen, kron, sigma_y
+from .linalg import frobenius_sq, hermitian_eigen, sigma_y
 from .states import DensityMatrix, PureState, haar_unitary
 
 MONOGAMY_TOL = 1e-10
 
-_FLIP = kron(sigma_y, sigma_y).real  # real 4x4 anti-diagonal sign pattern
+_FLIP = np.kron(sigma_y, sigma_y).real  # real 4x4 anti-diagonal sign pattern
 
 
 def concurrence_pure(psi: PureState) -> float:

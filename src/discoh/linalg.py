@@ -19,15 +19,6 @@ sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([sigma_x, sigma_y, sigma_z])
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; composite ordering matches |ij> = i*n + j."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one side of a bipartite matrix.
 

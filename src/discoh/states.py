@@ -23,7 +23,7 @@ from .errors import (
     TraceError,
     UnsupportedDimensionError,
 )
-from .linalg import PAULI, frobenius_sq, hermiticity_defect, identity, kron, partial_trace
+from .linalg import PAULI, frobenius_sq, hermiticity_defect, partial_trace
 
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -32,9 +32,9 @@ NORM_TOL = 1e-10
 CHANNEL_TOL = 1e-10
 
 # Operator sets for two-qubit Bloch components, built once.
-_BLOCH_A = np.stack([kron(PAULI[i], identity(2)) for i in range(3)])
-_BLOCH_B = np.stack([kron(identity(2), PAULI[j]) for j in range(3)])
-_BLOCH_T = np.stack([[kron(PAULI[i], PAULI[j]) for j in range(3)] for i in range(3)])
+_BLOCH_A = np.stack([np.kron(PAULI[i], np.eye(2, dtype=complex)) for i in range(3)])
+_BLOCH_B = np.stack([np.kron(np.eye(2, dtype=complex), PAULI[j]) for j in range(3)])
+_BLOCH_T = np.stack([[np.kron(PAULI[i], PAULI[j]) for j in range(3)] for i in range(3)])
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -156,7 +156,7 @@ def bloch_decompose(rho: DensityMatrix) -> BlochRep:
 
 def bloch_compose(rep: BlochRep) -> DensityMatrix:
     """Rebuild the two-qubit matrix from Bloch data; rejects unphysical input."""
-    mat = identity(4)
+    mat = np.eye(4, dtype=complex)
     mat += np.einsum("i,iab->ab", rep.x, _BLOCH_A)
     mat += np.einsum("j,jab->ab", rep.y, _BLOCH_B)
     mat += np.einsum("ij,ijab->ab", rep.T, _BLOCH_T)
@@ -188,7 +188,7 @@ def make_werner(p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise DiscohError(f"werner parameter must lie in [0, 1], got {p}")
     proj = make_bell("phi+").to_density().mat
-    return DensityMatrix((2, 2), p * proj + (1.0 - p) * identity(4) / 4.0)
+    return DensityMatrix((2, 2), p * proj + (1.0 - p) * np.eye(4, dtype=complex) / 4.0)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,7 +241,7 @@ def random_classical(dims: tuple[int, int], seed: int) -> DensityMatrix:
         pa = np.outer(ua[:, i], ua[:, i].conj())
         for j in range(n):
             pb = np.outer(ub[:, j], ub[:, j].conj())
-            mat += p[i, j] * kron(pa, pb)
+            mat += p[i, j] * np.kron(pa, pb)
     return DensityMatrix((m, n), mat)
 
 
@@ -267,7 +267,7 @@ class KrausChannel:
                 raise ShapeError("Kraus operators must be square and equally sized")
             _check_finite(op, "Kraus operator")
         total = sum(op.conj().T @ op for op in ops)
-        defect = float(np.max(np.abs(total - identity(d))))
+        defect = float(np.max(np.abs(total - np.eye(d, dtype=complex))))
         if defect > CHANNEL_TOL:
             raise ChannelError(f"sum E^dag E deviates from 1 by {defect:.3e}")
         object.__setattr__(self, "operators", ops)
@@ -295,8 +295,9 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
             f"channel acts on dimension {channel.dim}, side {channel.side} has {local}"
         )
     out = np.zeros_like(rho.mat)
+    eye = np.eye(n if channel.side == "A" else m, dtype=complex)
     for op in channel.operators:
-        full = kron(op, identity(n)) if channel.side == "A" else kron(identity(m), op)
+        full = np.kron(op, eye) if channel.side == "A" else np.kron(eye, op)
         out += full @ rho.mat @ full.conj().T
     return DensityMatrix(rho.dims, out)
 

@@ -69,6 +69,26 @@ def test_traced_qudit_class3_search_changes_nothing(tracing, tmp_path, capsys):
     assert tracer.metrics()["simplex.runs"] == 0
 
 
+def test_traced_qudit_one_sided_campaign_changes_nothing(tracing):
+    # corollary2 searches class1 and class2 on qudit pure states: one-sided rows
+    def campaign():
+        result = verify.pure_state_discord_campaign(trials=4, dims=((3, 3), (2, 3)), seed=0)
+        return replace(result, seconds=0.0)
+
+    plain = campaign()
+    tracer = tracing.Tracer().install()
+    try:
+        traced = campaign()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert set(metrics) == set(tracing.PER_LAYER)
+    assert traced == plain
+    assert plain.passed
+    assert metrics["verify.campaign_s.corollary2"] > 0
+    assert metrics["coherence.unitaries_rows"] > 0
+
+
 def test_uninstall_restores_the_program(tracing):
     from discoh import coherence, states
 

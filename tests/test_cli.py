@@ -126,6 +126,40 @@ class TestExitCodes:
             assert "--objective-tolerance" in err and out == ""
 
     @pytest.mark.parametrize(
+        "flags, commands",
+        [
+            (("--restarts", "0"), ("analyze", "verify")),
+            (("--max-iterations", "0"), ("analyze", "verify")),
+            (("--objective-tolerance", "0"), ("analyze", "verify")),
+            (("--objective-tolerance", "-1"), ("analyze", "verify")),
+            (("--samples", "0"), ("verify",)),
+            (("--steps", "1"), ("sweep",)),
+            (("--rank", "0"), ("generate",)),
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(
+        self, flags, commands, tmp_path, capsys, monkeypatch
+    ):
+        # each flag is range-checked as it is parsed, before any work starts
+        path = tmp_path / "w.json"
+        run_cli("generate", "werner", "--p", "0.8", "-o", str(path), capsys=capsys)
+        monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(cli, "werner_sweep", lambda *args: pytest.fail("swept"))
+        written = tmp_path / "x.json"
+        for command in commands:
+            argv = {
+                "analyze": ("analyze", str(path), "--method", "numeric", "--measures", "v"),
+                "verify": ("verify", "corollary1" if flags[0] == "--samples" else "theorem5"),
+                "sweep": ("sweep",),
+                "generate": ("generate", "random-mixed", "--dims", "2x3", "-o", str(written)),
+            }[command]
+            code, out, err = run_cli(*argv, *flags, capsys=capsys)
+            assert code == 1, command
+            assert flags[0] in err and out == "", command
+        assert not written.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("eq64", "--dims", "3x3"),
@@ -144,7 +178,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("eq64", "--restarts", "0"),
+            ("eq64", "--restarts", "3"),
             ("eq64", "--max-iterations", "5"),
             ("monogamy", "--max-iterations", "1"),
             ("classical-zero", "--objective-tolerance", "1e-3"),

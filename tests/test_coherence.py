@@ -25,7 +25,6 @@ from discoh.coherence import (
 from discoh import coherence
 from discoh.coherence import _anti_diagonal_blocks, _groups, _line_sweep, _rotate, _settled
 from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
-from discoh.linalg import identity, kron
 from discoh.nonlocality import direction_basis, v_measures_analytic
 from discoh.states import (
     DensityMatrix,
@@ -45,7 +44,7 @@ FAST = OptimizerConfig(restarts=8, seed=0)
 def contributions_loops(rho, u_a, u_b):
     # oracle: literal quadruple loop over the class definitions
     m, n = rho.dims
-    big = kron(u_a, u_b)
+    big = np.kron(u_a, u_b)
     rot = big @ rho.mat @ big.conj().T
     c1 = c2 = c3 = tilde = total = 0.0
     for k in range(m):
@@ -77,7 +76,7 @@ def product_plus_state():
 
 class TestContributions:
     def test_maximally_mixed_all_zero(self):
-        c = contributions(DensityMatrix((2, 2), identity(4) / 4))
+        c = contributions(DensityMatrix((2, 2), np.eye(4) / 4))
         assert (c.class1, c.class2, c.class3, c.tilde_total, c.total) == (0, 0, 0, 0, 0)
 
     def test_bell_computational(self):
@@ -112,7 +111,7 @@ class TestContributions:
     def test_class1_ignores_b_side_rotation(self, seed):
         rho = random_mixed((2, 3), 6, seed)
         u_a = random_unitary(2, seed + 1)
-        base = contributions(rho, LocalBasisPair(u_a, identity(3)))
+        base = contributions(rho, LocalBasisPair(u_a, np.eye(3)))
         rotated = contributions(rho, LocalBasisPair(u_a, random_unitary(3, seed + 2)))
         assert base.class1 == pytest.approx(rotated.class1, abs=1e-11)
 
@@ -121,7 +120,7 @@ class TestContributions:
     def test_class2_ignores_a_side_rotation(self, seed):
         rho = random_mixed((3, 2), 6, seed)
         u_b = random_unitary(2, seed + 1)
-        base = contributions(rho, LocalBasisPair(identity(3), u_b))
+        base = contributions(rho, LocalBasisPair(np.eye(3), u_b))
         rotated = contributions(rho, LocalBasisPair(random_unitary(3, seed + 2), u_b))
         assert base.class2 == pytest.approx(rotated.class2, abs=1e-11)
 
@@ -153,7 +152,7 @@ class TestContributions:
 
     def test_rejects_non_unitary_basis(self):
         with pytest.raises(UnitarityError):
-            LocalBasisPair(np.array([[1.0, 1.0], [0.0, 1.0]]), identity(2))
+            LocalBasisPair(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
     def test_bad_total_rejected(self):
         with pytest.raises(ConsistencyError):
@@ -353,32 +352,20 @@ def assert_same_optimum(a, b):
     assert replace(a, basis=None) == replace(b, basis=None)
 
 
-def count_engine_calls(monkeypatch):
-    """Rows of each simplex call, and jobs of each one-sided and each alternating
-    search call, as lists filled in later."""
-    simplex_rows, jacobi_jobs, alternating_jobs = [], [], []
-    simplex = coherence.minimize_batch
+def count_search_calls(monkeypatch):
+    """Jobs of each call of the search loop, as a list filled in later."""
+    calls = []
+    search = coherence._search_group
 
-    def counted_simplex(fn, x0, *args, **kwargs):
-        simplex_rows.append(len(x0))
-        return simplex(fn, x0, *args, **kwargs)
+    def run(jobs, *args):
+        calls.append(len(jobs))
+        return search(jobs, *args)
 
-    def counted(name, calls):
-        engine = getattr(coherence, name)
-
-        def run(jobs, *args):
-            calls.append(len(jobs))
-            return engine(jobs, *args)
-
-        monkeypatch.setattr(coherence, name, run)
-
-    monkeypatch.setattr(coherence, "minimize_batch", counted_simplex)
-    counted("_jacobi_group", jacobi_jobs)
-    counted("_alternating_group", alternating_jobs)
-    return simplex_rows, jacobi_jobs, alternating_jobs
+    monkeypatch.setattr(coherence, "_search_group", run)
+    return calls
 
 
-def on_simplex(objective, dims):
+def line_swept(objective, dims):
     """Whether a job is class3 off two qubits, which line sweeps search."""
     return objective == "class3" and dims != (2, 2)
 
@@ -403,33 +390,28 @@ class TestBatchedSearch:
         if config.max_iterations == 10:
             assert any(opt.iterations == 10 and not opt.converged for opt in batched)
 
-    def test_one_simplex_per_dims_and_coefficient_count(self, monkeypatch):
-        # class1 and class2 share a Jacobi batch on square dims, whatever their
-        # sense; the two-sided jobs batch by dims and objective, class3 off two
-        # qubits included, and no job reaches the simplex
-        simplex_rows, jacobi_jobs, alternating_jobs = count_engine_calls(monkeypatch)
+    def test_one_search_call_per_dims_and_objective(self, monkeypatch):
+        # class1 and class2 share a batch on square dims, whatever their sense;
+        # the two-sided jobs batch by dims and objective, class3 off two qubits
+        # included
+        calls = count_search_calls(monkeypatch)
         qubits, qutrits = random_mixed((2, 2), 4, seed=3), random_mixed((3, 3), 9, seed=3)
         jobs = [(qubits, "class1", MIN), (qutrits, "class2", MIN), (qubits, "class2", MAX)]
         jobs += [(qutrits, "class1", MIN), (qubits, "class3", MIN), (qubits, "tilde_total", MIN)]
         jobs += [(qutrits, "class3", MAX), (qubits, "class3", MAX), (qutrits, "tilde_total", MIN)]
         search_bases(jobs, OptimizerConfig(restarts=2, max_iterations=5))
-        assert jacobi_jobs == [2, 2]
-        assert alternating_jobs == [2, 1, 1, 1]
-        assert simplex_rows == []
+        assert calls == [2, 2, 2, 1, 1, 1]
 
     def test_row_cap_splits_a_group_without_changing_results(self, monkeypatch):
         jobs = every_job(70)
         config = OptimizerConfig(restarts=3, seed=1, max_iterations=100)
         whole = search_bases(jobs, config)
-        simplex_rows, jacobi_jobs, alternating_jobs = count_engine_calls(monkeypatch)
+        calls = count_search_calls(monkeypatch)
         monkeypatch.setattr(coherence, "MAX_ROWS", config.restarts)  # one job a call
         for a, b in zip(whole, search_bases(jobs, config)):
             assert_same_optimum(a, b)
-        one_sided = sum(objective in ("class1", "class2") for _, objective, _ in jobs)
-        assert any(on_simplex(objective, rho.dims) for rho, objective, _ in jobs)
-        assert jacobi_jobs == [1] * one_sided
-        assert alternating_jobs == [1] * (len(jobs) - one_sided)
-        assert simplex_rows == []
+        assert any(line_swept(objective, rho.dims) for rho, objective, _ in jobs)
+        assert calls == [1] * len(jobs)
 
     def test_unknown_sense(self):
         with pytest.raises(DiscohError):
@@ -440,9 +422,9 @@ class TestBatchedSearch:
         # each row the unitary it gets in any split of the block
         rng = np.random.default_rng(5)
         groups = _groups(every_job(60))
-        assert sum(on_simplex(objective, dims) for dims, objective in groups) == 4
+        assert sum(line_swept(objective, dims) for dims, objective in groups) == 4
         for (dims, objective), members in groups.items():
-            if not on_simplex(objective, dims):
+            if not line_swept(objective, dims):
                 continue
             m, n = dims
             mats = np.stack([rho.mat for _, (rho, _, _) in members])
@@ -589,6 +571,21 @@ class TestExactTwoSidedOptima:
             jobs = [(rho, objective, MIN) for objective in ("class1", "class2", "tilde_total")]
             d_ab, d_ba, d_tilde = (opt.value for opt in search_bases(jobs))
             assert max(d_ab, d_ba) - 1e-12 <= d_tilde <= d_ab + d_ba + 1e-12, (dims, seed)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_total_extrema_are_the_sums_of_the_one_sided_extrema(dims):
+    # total(U_A, U_B) = class1(U_A) + class2(U_B): the two-sided search of
+    # total and the one-sided searches of class1 and class2 meet
+    states = [random_mixed(dims, 3, 110 + k) for k in range(3)]
+    states += [random_pure(dims, 210 + k).to_density() for k in range(3)]
+    tol = OptimizerConfig().objective_tolerance
+    for sense in (MIN, MAX):
+        jobs = [(rho, obj, sense) for rho in states for obj in ("class1", "class2", "total")]
+        optima = search_bases(jobs)
+        for k in range(len(states)):
+            class1, class2, total = (opt.value for opt in optima[3 * k : 3 * k + 3])
+            assert total == pytest.approx(class1 + class2, abs=tol), (sense, k)
 
 
 def schmidt_basis(psi, relabel=None):

@@ -14,7 +14,6 @@ from discoh.discord import (
     discord_ba_analytic,
 )
 from discoh.errors import ConsistencyError, DiscohError, NormalizationError, UnsupportedDimensionError
-from discoh.linalg import identity
 from discoh.measures import discord_report, evaluate
 from discoh.states import (
     DensityMatrix,
@@ -47,7 +46,7 @@ class TestAnalytic:
         assert np.linalg.norm(direction.p) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
-        assert discord_ab_analytic(DensityMatrix((2, 2), identity(4) / 4))[0] == 0.0
+        assert discord_ab_analytic(DensityMatrix((2, 2), np.eye(4) / 4))[0] == 0.0
 
     def test_werner_family(self):
         for p in (0.1, 0.5, 0.9):
@@ -118,7 +117,7 @@ class TestTwoSide:
         assert opt.value == pytest.approx(0.5, abs=1e-6)
 
     def test_maximally_mixed_zero(self):
-        opt = minimize_over_bases(DensityMatrix((2, 2), identity(4) / 4), "tilde_total", FAST)
+        opt = minimize_over_bases(DensityMatrix((2, 2), np.eye(4) / 4), "tilde_total", FAST)
         assert opt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_product_state_zero(self):

@@ -10,8 +10,6 @@ from discoh.linalg import (
     PAULI,
     frobenius_sq,
     hermitian_eigen,
-    identity,
-    kron,
     partial_trace,
     sigma_x,
     sigma_y,
@@ -55,22 +53,10 @@ class TestMultiply:
     """Products of the Pauli constants."""
 
     def test_pauli_involution(self):
-        assert np.allclose(sigma_x @ sigma_x, identity(2))
+        assert np.allclose(sigma_x @ sigma_x, np.eye(2))
 
     def test_pauli_algebra(self):
         assert np.allclose(sigma_x @ sigma_y, 1j * sigma_z)
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(identity(2), identity(2)), identity(4))
-
-    def test_projectors(self):
-        p = np.diag([1.0, 0.0])
-        assert np.array_equal(kron(p, p), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-    def test_sigma_z_pair(self):
-        assert np.allclose(kron(sigma_z, sigma_z), np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 class TestPartialTrace:
@@ -78,13 +64,13 @@ class TestPartialTrace:
         a = np.zeros(4, dtype=complex)
         a[0] = a[3] = 1 / np.sqrt(2)
         rho = np.outer(a, a.conj())
-        assert np.allclose(partial_trace(rho, (2, 2), "A"), identity(2) / 2)
-        assert np.allclose(partial_trace(rho, (2, 2), "B"), identity(2) / 2)
+        assert np.allclose(partial_trace(rho, (2, 2), "A"), np.eye(2) / 2)
+        assert np.allclose(partial_trace(rho, (2, 2), "B"), np.eye(2) / 2)
 
     def test_product_factorization(self):
         rho_a = random_density((1, 2), 5)
         rho_b = random_density((1, 3), 6)
-        joint = kron(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         assert np.allclose(partial_trace(joint, (2, 3), "A"), rho_a)
         assert np.allclose(partial_trace(joint, (2, 3), "B"), rho_b)
 
@@ -145,7 +131,7 @@ class TestHermitianEigen:
 
 class TestFrobenius:
     def test_identity(self):
-        assert frobenius_sq(identity(2)) == pytest.approx(2.0)
+        assert frobenius_sq(np.eye(2)) == pytest.approx(2.0)
 
     def test_zero(self):
         assert frobenius_sq(np.zeros((3, 3))) == 0.0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from discoh.coherence import MAX, MIN, OptimizerConfig, contributions, search_bases
 from discoh.errors import NormalizationError, UnsupportedDimensionError
-from discoh.linalg import identity
 from discoh.nonlocality import (
     basis_pair_from_directions,
     chsh_violation,
@@ -45,7 +44,7 @@ class TestCorrelationSpectrum:
         assert corr.t_norm_sq == pytest.approx(3.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        corr = correlation_spectrum(DensityMatrix((2, 2), identity(4) / 4))
+        corr = correlation_spectrum(DensityMatrix((2, 2), np.eye(4) / 4))
         assert np.allclose(corr.singular_values, 0.0, atol=1e-12)
 
     def test_werner_linear(self):
@@ -86,7 +85,7 @@ class TestAnalyticMeasures:
 
 class TestDirectionalObjective:
     def test_zero_correlation(self):
-        rho = DensityMatrix((2, 2), identity(4) / 4)
+        rho = DensityMatrix((2, 2), np.eye(4) / 4)
         for p in (EZ, np.array([1.0, 0.0, 0.0])):
             assert v_objective_bloch(rho, p, p) == pytest.approx(0.0, abs=1e-12)
 
@@ -157,7 +156,7 @@ class TestNumericMeasures:
 
     def test_maximally_mixed(self):
         cfg = OptimizerConfig(restarts=4, seed=0)
-        low, high = v_searched(DensityMatrix((2, 2), identity(4) / 4), cfg)
+        low, high = v_searched(DensityMatrix((2, 2), np.eye(4) / 4), cfg)
         assert low.value == pytest.approx(0.0, abs=1e-9)
         assert high.value == pytest.approx(0.0, abs=1e-9)
 

@@ -27,6 +27,23 @@ def test_campaign_script_takes_only_a_finite_positive_scale(scale, monkeypatch, 
     assert "--scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [("random_state_campaign", ["--seed", "-1"]), ("werner_sweep", ["--check", "--seed", "-1"])],
+)
+def test_scripts_take_only_a_nonnegative_seed(name, argv, monkeypatch, capsys):
+    # numpy's generators take no negative seed; the parser turns it away first
+    script = load_script(name)
+    work = "discoh_main" if name == "werner_sweep" else "run_suite"
+    monkeypatch.setattr(script, work, lambda *args, **kwargs: pytest.fail("work started"))
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--seed" in err and "at least 0" in err and out == ""
+
+
 def test_werner_script_prints_the_sweep_command_csv(monkeypatch, capsys):
     from discoh.cli import main
 

@@ -17,7 +17,7 @@ from discoh.errors import (
     StateFormatError,
     TraceError,
 )
-from discoh.linalg import identity, kron, partial_trace
+from discoh.linalg import partial_trace
 from discoh.states import (
     BlochRep,
     DensityMatrix,
@@ -48,12 +48,12 @@ def bell_dm():
 
 class TestDensityMatrixValidation:
     def test_maximally_mixed_accepted(self):
-        rho = DensityMatrix((2, 2), identity(4) / 4)
+        rho = DensityMatrix((2, 2), np.eye(4) / 4)
         assert rho.purity() == pytest.approx(0.25)
 
     def test_trace_error(self):
         with pytest.raises(TraceError):
-            DensityMatrix((2, 2), identity(4) / 2)
+            DensityMatrix((2, 2), np.eye(4) / 2)
 
     def test_psd_error(self):
         with pytest.raises(PositivityError):
@@ -61,17 +61,17 @@ class TestDensityMatrixValidation:
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            DensityMatrix((2, 2), identity(3) / 3)
+            DensityMatrix((2, 2), np.eye(3) / 3)
 
     def test_hermiticity_error(self):
-        mat = identity(4) / 4
+        mat = np.eye(4) / 4
         mat = mat.astype(complex)
         mat[0, 1] = 0.1
         with pytest.raises(HermiticityError):
             DensityMatrix((2, 2), mat)
 
     def test_non_finite_rejected(self):
-        mat = identity(4) / 4
+        mat = np.eye(4) / 4
         mat[0, 0] = np.nan
         with pytest.raises(StateFormatError):
             DensityMatrix((2, 2), mat)
@@ -90,7 +90,7 @@ class TestBloch:
         assert np.allclose(rep.T, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
     def test_maximally_mixed_decomposition(self):
-        rep = bloch_decompose(DensityMatrix((2, 2), identity(4) / 4))
+        rep = bloch_decompose(DensityMatrix((2, 2), np.eye(4) / 4))
         assert np.allclose(rep.x, 0) and np.allclose(rep.y, 0) and np.allclose(rep.T, 0)
 
     def test_product_of_z_eigenstates(self):
@@ -103,7 +103,7 @@ class TestBloch:
 
     def test_compose_zero_is_maximally_mixed(self):
         rho = bloch_compose(BlochRep(np.zeros(3), np.zeros(3), np.zeros((3, 3))))
-        assert np.allclose(rho.mat, identity(4) / 4)
+        assert np.allclose(rho.mat, np.eye(4) / 4)
 
     def test_compose_bell(self):
         rep = BlochRep(np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0]))
@@ -137,7 +137,7 @@ class TestFamilies:
             make_bell("phi*")
 
     def test_werner_endpoints(self):
-        assert np.allclose(make_werner(0.0).mat, identity(4) / 4)
+        assert np.allclose(make_werner(0.0).mat, np.eye(4) / 4)
         assert np.allclose(make_werner(1.0).mat, bell_dm().mat)
 
     def test_werner_half_bloch(self):
@@ -265,8 +265,8 @@ class TestSwap:
     def test_product_state(self):
         rho_a = random_mixed((1, 2), 2, seed=1).mat
         rho_b = random_mixed((1, 3), 3, seed=2).mat
-        joint = DensityMatrix((2, 3), kron(rho_a, rho_b))
-        assert np.allclose(swap_subsystems(joint).mat, kron(rho_b, rho_a), atol=1e-13)
+        joint = DensityMatrix((2, 3), np.kron(rho_a, rho_b))
+        assert np.allclose(swap_subsystems(joint).mat, np.kron(rho_b, rho_a), atol=1e-13)
 
 
 class TestStateFiles:
