@@ -20,6 +20,7 @@ from discoh import (
     make_bell,
     phase_damping,
 )
+from discoh.cli import _integer
 
 
 def source_state(product: bool):
@@ -32,7 +33,7 @@ def source_state(product: bool):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=11)
+    ap.add_argument("--steps", type=_integer("steps", 2), default=11)
     ap.add_argument("--product", action="store_true", help="damp |0>x|+> instead of phi+")
     args = ap.parse_args()
 

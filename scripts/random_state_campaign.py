@@ -7,15 +7,14 @@ core); --scale shrinks everything proportionally for a quick look.
 import argparse
 import sys
 
-from discoh.cli import _integer, _positive_float
+from discoh.cli import _finite_float, _integer
 from discoh.verify import SUITES, run_suite
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--scale", type=_positive_float("scale"), default=1.0, help="trial count multiplier"
-    )
+    scale = _finite_float("scale", positive=True)
+    ap.add_argument("--scale", type=scale, default=1.0, help="trial count multiplier")
     ap.add_argument("--seed", type=_integer("seed", 0), default=0)
     args = ap.parse_args()
 

@@ -17,7 +17,7 @@ from discoh.cli import main as discoh_main
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=201)
+    ap.add_argument("--steps", type=_integer("steps", 2), default=201)
     ap.add_argument("--check", action="store_true", help="numeric spot checks at p = 0.25, 0.5, 0.9")
     ap.add_argument("--seed", type=_integer("seed", 0), default=0)
     args = ap.parse_args()

@@ -80,23 +80,17 @@ def _integer(what: str, low: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_float(what: str):
-    """Parser of a float that must be finite and positive."""
+def _finite_float(what: str, positive: bool = False):
+    """Parser of a finite float that must be at least 0, or above 0 if positive."""
 
     def parse(text: str) -> float:
         value = float(text)
-        if not (math.isfinite(value) and value > 0.0):
-            raise argparse.ArgumentTypeError(f"{what} must be finite and positive, got {text!r}")
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            bound = "positive" if positive else "at least 0"
+            raise argparse.ArgumentTypeError(f"{what} must be finite and {bound}, got {text!r}")
         return value
 
-    parse.__name__ = what
+    parse.__name__ = what  # argparse names the type in its "invalid ... value" message
     return parse
 
 
@@ -265,7 +259,7 @@ def _add_optimizer_flags(parser) -> None:
     )
     parser.add_argument(
         "--objective-tolerance",
-        type=_positive_float("objective-tolerance"),
+        type=_finite_float("objective-tolerance", positive=True),
         default=None,
         help="stop a restart once its last iteration moved its objective by at most this "
         "and the moves still to come, estimated from the ratio of its last two, add up to "
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="decompositions per trial (corollary1)",
     )
     p_ve.add_argument("--seed", type=_integer("seed", 0), default=0)
-    p_ve.add_argument("--tol", type=_finite_float, default=None)
+    p_ve.add_argument("--tol", type=_finite_float("tol"), default=None)
     p_ve.add_argument("--workers", type=_integer("workers", 1), default=1)
     _add_optimizer_flags(p_ve)
     p_ve.set_defaults(func=cmd_verify, usage_error=p_ve.error)

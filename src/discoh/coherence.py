@@ -247,7 +247,7 @@ class BasisOptimum:
     converged: bool
     iterations: int
     evaluations: int
-    restart_index: int
+    restart_index: int  # the best restart: one of the restarts_at_best, often tied to roundoff
     objective: str
     restarts_at_best: int  # restarts that ended within objective_tolerance of the best
 

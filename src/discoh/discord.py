@@ -9,8 +9,8 @@ where lmax is the largest eigenvalue.  The symmetric measure is their sum
 (the two minimizations decouple).  The two-sided measure, minimizing the
 single-count off-diagonal sum over product bases, has no closed form and is
 always computed by the basis search; it is bracketed by
-max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba, which DiscordReport asserts up
-to the searches' tolerance.
+max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba.  bracket_violation says by how
+much a value misses it, for DiscordReport and the two-side-sandwich campaign.
 The numeric routes and discord_report live in measures.py.
 """
 
@@ -61,14 +61,16 @@ class DiscordReport:
         if abs(self.d_sym - (self.d_ab + self.d_ba)) > 1e-12:
             raise ConsistencyError("d_sym must equal d_ab + d_ba")
         if self.d_tilde is not None:
-            if self.d_tilde + BRACKET_SLACK < max(self.d_ab, self.d_ba):
+            violation = bracket_violation(self.d_ab, self.d_ba, self.d_tilde)
+            if violation > BRACKET_SLACK:
                 raise ConsistencyError(
-                    f"two-sided value {self.d_tilde:.3e} below max(d_ab, d_ba) - {BRACKET_SLACK:g}"
+                    f"d_tilde {self.d_tilde:.3e} misses [max(d_ab, d_ba), d_sym] by {violation:.3e}"
                 )
-            if self.d_tilde > self.d_sym + BRACKET_SLACK:
-                raise ConsistencyError(
-                    f"two-sided value {self.d_tilde:.3e} exceeds d_sym + {BRACKET_SLACK:g}"
-                )
+
+
+def bracket_violation(d_ab: float, d_ba: float, d_tilde: float) -> float:
+    """How far d_tilde lies outside max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba; 0 inside."""
+    return max(0.0, max(d_ab, d_ba) - d_tilde, d_tilde - (d_ab + d_ba))
 
 
 def _lexmax_unit(span: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""One table of the measures a state can be asked for, and one evaluator over it.
+"""The measure table: which measures apply to a state, and which route computes each.
 
 Every measure is an extreme of coherence class sums over product bases, a
 two-qubit closed form, or both:
@@ -9,10 +9,12 @@ two-qubit closed form, or both:
   v, v_tilde    class3 minimum / maximum        closed form on two qubits
   chsh, concurrence, monogamy                   closed form only
 
-An evaluation runs each (objective, sense) search at most once, however
-many measures share it, and runs all of them in one batched search.
-Searches and closed forms are called through this module's names at call
-time, so the table holds names, not functions.
+analyze, discord_report, the campaigns and the Werner sweep ask records()
+for (measure, method) records of many states.  Each closed-form function
+runs at most once per state, and one batched search finds every state's
+distinct (objective, sense) optima.  Searches and closed forms are called
+through this module's names at call time, so the table holds names, not
+functions.
 """
 
 from dataclasses import asdict, dataclass
@@ -66,15 +68,25 @@ def _dominant_pure(rho: DensityMatrix) -> PureState:
     return PureState(rho.dims, amp)
 
 
-class Evaluation:
-    """Measures of one state under one optimizer config; its searches run in one batch."""
+def _record(measure: str, method: str, value, detail: dict, converged) -> dict:
+    return {
+        "measure": measure,
+        "value": float(value),
+        "method": method,
+        "converged": converged,
+        "detail": detail,
+    }
 
-    def __init__(self, rho: DensityMatrix, config: OptimizerConfig | None = None):
+
+class Evaluation:
+    """One state: which measures apply to it, and the closed forms run on it so far."""
+
+    def __init__(self, rho: DensityMatrix):
         self.rho = rho
-        self.config = config
         self.two_qubit = rho.dims == (2, 2)
         self.purity = rho.purity()
         self.pure = self.purity >= 1.0 - PURITY_PURE_TOL
+        self._done = {}  # function -> its value on rho, computed on the first call only
 
     def applies(self, measure: str) -> bool:
         needs = MEASURES[measure].needs
@@ -101,64 +113,59 @@ class Evaluation:
             return [ANALYTIC if self.two_qubit else NUMERIC]
         return [ANALYTIC, NUMERIC] if method == BOTH else [method]
 
-    def records(self, requests) -> list[dict]:
-        """Records of (measure, method) requests, in request order.
+    def _once(self, fn):
+        if fn not in self._done:
+            self._done[fn] = fn(self.rho)
+        return self._done[fn]
 
-        Closed forms run first, so one that cannot run fails before any
-        search; then one batched search finds every (objective, sense)
-        optimum the numeric records need.
-        """
-        closed = {
-            i: self._record(name, method, *self._closed_form(name), None)
-            for i, (name, method) in enumerate(requests)
-            if method != NUMERIC
-        }
-        keys = dict.fromkeys(
-            key for name, method in requests if method == NUMERIC for key in MEASURES[name].searches
-        )
-        found = dict(zip(keys, search_bases([(self.rho, *key) for key in keys], self.config)))
-        return [
-            closed[i] if i in closed else self._searched(name, found)
-            for i, (name, _) in enumerate(requests)
-        ]
+    def _closed_form(self, measure: str) -> tuple[float, dict]:
+        if measure in ("d_ab", "d_ba"):
+            closed = discord_ab_analytic if measure == "d_ab" else discord_ba_analytic
+            value, direction = self._once(closed)
+            return value, {"direction": direction.p.tolist()}
+        if measure == "d_sym":
+            return self._once(discord_ab_analytic)[0] + self._once(discord_ba_analytic)[0], {}
+        if measure in ("v", "v_tilde"):
+            return self._once(v_measures_analytic)[measure == "v_tilde"], {}
+        if measure == "chsh":
+            violated, m = self._once(chsh_violation)
+            return m, {"violated": violated}
+        if measure == "concurrence":
+            if self.pure:
+                return concurrence_pure(self._once(_dominant_pure)), {}
+            return concurrence_mixed_2q(self.rho), {}
+        terms = asdict(monogamy_check(self._once(_dominant_pure)))
+        return terms.pop("residual"), terms
 
     def _searched(self, measure: str, found: dict) -> dict:
         """The numeric record: the sum of the measure's searched optima."""
         optima = [found[key] for key in MEASURES[measure].searches]
         value = sum((opt.value for opt in optima[1:]), optima[0].value)  # in table order
         detail = {} if self.two_qubit else {"note": "exploratory"}
-        return self._record(measure, NUMERIC, value, detail, all(opt.converged for opt in optima))
+        return _record(measure, NUMERIC, value, detail, all(opt.converged for opt in optima))
 
-    @staticmethod
-    def _record(measure: str, method: str, value, detail: dict, converged) -> dict:
-        return {
-            "measure": measure,
-            "value": float(value),
-            "method": method,
-            "converged": converged,
-            "detail": detail,
-        }
 
-    def _closed_form(self, measure: str) -> tuple[float, dict]:
-        rho = self.rho
-        if measure in ("d_ab", "d_ba"):
-            closed = discord_ab_analytic if measure == "d_ab" else discord_ba_analytic
-            value, direction = closed(rho)
-            return value, {"direction": direction.p.tolist()}
-        if measure == "d_sym":
-            return discord_ab_analytic(rho)[0] + discord_ba_analytic(rho)[0], {}
-        if measure in ("v", "v_tilde"):
-            v, v_tilde = v_measures_analytic(rho)
-            return (v if measure == "v" else v_tilde), {}
-        if measure == "chsh":
-            violated, m = chsh_violation(rho)
-            return m, {"violated": violated}
-        if measure == "concurrence":
-            if self.pure:
-                return concurrence_pure(_dominant_pure(rho)), {}
-            return concurrence_mixed_2q(rho), {}
-        terms = asdict(monogamy_check(_dominant_pure(rho)))
-        return terms.pop("residual"), terms
+def records(evaluations, requests, config: OptimizerConfig | None = None) -> list[list[dict]]:
+    """Each state's records of the (measure, method) requests, in request order.
+
+    Every state's closed forms run first, so one that cannot run fails
+    before any search; then one batched search finds the (objective, sense)
+    optima the numeric records need, state by state.
+    """
+    out = [
+        [
+            None if method == NUMERIC else _record(name, method, *ev._closed_form(name), None)
+            for name, method in requests
+        ]
+        for ev in evaluations
+    ]
+    numeric = [name for name, method in requests if method == NUMERIC]
+    keys = list(dict.fromkeys(key for name in numeric for key in MEASURES[name].searches))
+    optima = iter(search_bases([(ev.rho, *key) for ev in evaluations for key in keys], config))
+    for ev, recs in zip(evaluations, out):
+        found = {key: next(optima) for key in keys}
+        recs[:] = [rec or ev._searched(name, found) for rec, (name, _) in zip(recs, requests)]
+    return out
 
 
 def evaluate(
@@ -176,7 +183,7 @@ def evaluate(
     """
     if method not in METHODS:
         raise DiscohError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    ev = Evaluation(rho, config)
+    ev = Evaluation(rho)
     measures = list(measures)
     if measures == ["all"]:
         measures = [
@@ -201,7 +208,8 @@ def evaluate(
                 )
     for name in measures:
         ev.require(name)
-    return ev.records([(name, route) for name in measures for route in ev.routes(name, method)])
+    requests = [(name, route) for name in measures for route in ev.routes(name, method)]
+    return records([ev], requests, config)[0]
 
 
 def discord_report(
@@ -211,14 +219,14 @@ def discord_report(
     include_two_side: bool = True,
 ) -> DiscordReport:
     """Full set of discord measures with the bracket check applied."""
-    if method == AUTO:
-        method = ANALYTIC if rho.dims == (2, 2) else NUMERIC
-    if method not in (ANALYTIC, NUMERIC):
+    if method not in (AUTO, ANALYTIC, NUMERIC):
         raise DiscohError(f"method must be auto, analytic or numeric, got {method!r}")
+    ev = Evaluation(rho)
+    (method,) = ev.routes("d_ab", method)
     requests = [(name, method) for name in ("d_ab", "d_ba", "d_sym")]
     if include_two_side:
         requests.append(("d_tilde", NUMERIC))
-    d_ab, d_ba, d_sym, *two_side = Evaluation(rho, config).records(requests)
+    d_ab, d_ba, d_sym, *two_side = records([ev], requests, config)[0]
     if method == ANALYTIC:
         diagnostics = {
             "direction_a": np.asarray(d_ab["detail"]["direction"]),

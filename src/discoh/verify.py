@@ -2,10 +2,11 @@
 
 Each campaign draws trial inputs deterministically (trial i uses base seed
 plus i), measures a deviation per trial, and reports the failure count
-against a tolerance.  The basis searches of a block of trials run as one
-batched search (coherence.search_bases), whose results do not depend on
-what else shares the batch.  A serial run is one block; with workers, each
-worker takes a contiguous block of trials, and pooled and serial runs give
+against a tolerance.  A suite names the (measure, method) records a trial
+needs; measures.records computes those of a block of trials, their basis
+searches as one batched search whose results do not depend on what else
+shares the batch.  A serial run is one block; with workers, each worker
+takes a contiguous block of trials, and pooled and serial runs give
 identical results, bit for bit.
 """
 
@@ -17,11 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import MAX, MIN, OptimizerConfig, search_bases
-from .discord import discord_ab_analytic, discord_ba_analytic
+from .coherence import OptimizerConfig
+from .discord import ANALYTIC, NUMERIC, bracket_violation
 from .errors import DiscohError
 from .entanglement import concurrence_pure, corollary1_check, monogamy_check
-from .nonlocality import chsh_violation, v_measures_analytic
+from .measures import Evaluation, records
 from .states import (
     DensityMatrix,
     PureState,
@@ -68,13 +69,12 @@ def _deviations(name: str, seed: int, options: dict, config, start: int, stop: i
     """Deviations of trials start..stop-1, all their searches run as one batch."""
     suite = SUITES[name]
     inputs = [suite.draw(i, seed, **options) for i in range(start, stop)]
-    jobs = []
-    if suite.searches:  # a pure input is searched as its density matrix
+    values = [{}] * len(inputs)
+    if suite.requests:  # a pure input is measured as its density matrix
         states = [x.to_density() if isinstance(x, PureState) else x for x in inputs]
-        jobs = [(rho, *key) for rho in states for key in suite.searches]
-    optima = search_bases(jobs, config)
-    k = len(suite.searches)
-    return [suite.deviation(x, optima[j * k : (j + 1) * k]) for j, x in enumerate(inputs)]
+        found = records([Evaluation(rho) for rho in states], suite.requests, config)
+        values = [{(rec["measure"], rec["method"]): rec["value"] for rec in recs} for recs in found]
+    return [suite.deviation(x, vals) for x, vals in zip(inputs, values)]
 
 
 def _run(
@@ -129,30 +129,26 @@ def _mixed_with_samples(i: int, seed: int, samples: int):
     return _mixed(i, seed), samples, seed + i
 
 
-# Deviations from the claim, from a trial's input and its optima (in the
-# order of the suite's searches).
+# Deviations from the claim, from a trial's input and the values of the
+# suite's records, keyed by (measure, method).
 
 
-def _monogamy_deviation(psi, optima) -> float:
+def _monogamy_deviation(psi, values) -> float:
     return abs(monogamy_check(psi, check=False).residual)
 
 
-def _closed_form_deviation(rho, optima) -> float:
-    d_ab, d_ba = optima
-    dev_a = abs(discord_ab_analytic(rho)[0] - d_ab.value)
-    dev_b = abs(discord_ba_analytic(rho)[0] - d_ba.value)
-    return max(dev_a, dev_b)
+def _agreement_deviation(rho, values) -> float:
+    """Largest |closed form - search| over the suite's measures."""
+    return max(
+        abs(values[name, ANALYTIC] - value)
+        for (name, method), value in values.items()
+        if method == NUMERIC
+    )
 
 
-def _class3_extrema_deviation(rho, optima) -> float:
-    low, high = optima
-    v_an, vt_an = v_measures_analytic(rho)
-    return max(abs(v_an - low.value), abs(vt_an - high.value))
-
-
-def _pure_discord_deviation(psi, optima) -> float:
+def _pure_discord_deviation(psi, values) -> float:
     c2 = concurrence_pure(psi) ** 2
-    d_ab, d_ba = (opt.value for opt in optima)
+    d_ab, d_ba = values["d_ab", NUMERIC], values["d_ba", NUMERIC]
     return max(
         abs(d_ab + d_ba - c2),
         abs(d_ab - c2 / 2.0),
@@ -160,68 +156,71 @@ def _pure_discord_deviation(psi, optima) -> float:
     )
 
 
-def _sum_rule_deviation(rho, optima) -> float:
-    v, vt = v_measures_analytic(rho)
+def _sum_rule_deviation(rho, values) -> float:
     t = bloch_decompose(rho).T
-    return abs((v + vt) * 4.0 - float(np.sum(t * t)))
+    return abs((values["v", ANALYTIC] + values["v_tilde", ANALYTIC]) * 4.0 - float(np.sum(t * t)))
 
 
-def _mixed_bound_deviation(args, optima) -> float:
+def _mixed_bound_deviation(args, values) -> float:
     lhs, rhs_samples, _ = corollary1_check(*args)
     return max(0.0, lhs - min(rhs_samples))
 
 
-def _classical_zero_deviation(rho, optima) -> float:
-    return discord_ab_analytic(rho)[0] + discord_ba_analytic(rho)[0]
+def _classical_zero_deviation(rho, values) -> float:
+    return values["d_sym", ANALYTIC]
 
 
-def _sandwich_deviation(rho, optima) -> float:
-    d_ab = discord_ab_analytic(rho)[0]
-    d_ba = discord_ba_analytic(rho)[0]
-    d_tilde = optima[0].value
-    low_violation = max(0.0, max(d_ab, d_ba) - d_tilde)
-    high_violation = max(0.0, d_tilde - (d_ab + d_ba))
-    return max(low_violation, high_violation)
+def _sandwich_deviation(rho, values) -> float:
+    return bracket_violation(
+        values["d_ab", ANALYTIC], values["d_ba", ANALYTIC], values["d_tilde", NUMERIC]
+    )
+
+
+def _each(names, *methods) -> tuple[tuple[str, str], ...]:
+    """(measure, method) requests of every name under every method."""
+    return tuple((name, method) for name in names for method in methods)
 
 
 @dataclass(frozen=True)
 class Suite:
-    """One campaign: how a trial draws its input, the searches it needs, how it
+    """One campaign: how a trial draws its input, the records it needs, how it
     measures its deviation, its default size and tolerance, and its options."""
 
     draw: Callable[..., object]  # draw(i, seed, **options but config) -> trial i's input
-    searches: tuple[tuple[str, str], ...]  # (objective, sense) optima of each input
-    deviation: Callable[..., float]  # deviation(input, optima) -> deviation from the claim
+    requests: tuple[tuple[str, str], ...]  # (measure, method) records of each input
+    deviation: Callable[..., float]  # deviation(input, values) -> deviation from the claim
     trials: int
     tol: float
     options: dict  # option name ("dims", "samples" or "config") -> default
 
 
 _SEARCH = {"config": OptimizerConfig()}
-_ONE_SIDED = (("class1", MIN), ("class2", MIN))
+_SANDWICH = (*_each(("d_ab", "d_ba"), ANALYTIC), ("d_tilde", NUMERIC))
 
 # Cheapest first, the order scripts/random_state_campaign.py runs them in.
 SUITES = {
     "monogamy": Suite(_pure, (), _monogamy_deviation, 1000, 1e-10, {"dims": MONOGAMY_DIMS}),
-    "eq64": Suite(_mixed, (), _sum_rule_deviation, 500, 1e-10, {}),
-    "classical-zero": Suite(_classical, (), _classical_zero_deviation, 100, 1e-9, {}),
-    "analytic-vs-numeric": Suite(_mixed, _ONE_SIDED, _closed_form_deviation, 200, 1e-6, _SEARCH),
+    "eq64": Suite(_mixed, _each(("v", "v_tilde"), ANALYTIC), _sum_rule_deviation, 500, 1e-10, {}),
+    "classical-zero": Suite(
+        _classical, _each(("d_sym",), ANALYTIC), _classical_zero_deviation, 100, 1e-9, {}
+    ),
+    "analytic-vs-numeric": Suite(
+        _mixed, _each(("d_ab", "d_ba"), ANALYTIC, NUMERIC), _agreement_deviation, 200, 1e-6, _SEARCH
+    ),
     "corollary1": Suite(
         _mixed_with_samples, (), _mixed_bound_deviation, 200, 1e-9, {"samples": 64}
     ),
-    "two-side-sandwich": Suite(
-        _mixed, (("tilde_total", MIN),), _sandwich_deviation, 100, 1e-6, _SEARCH
-    ),
+    "two-side-sandwich": Suite(_mixed, _SANDWICH, _sandwich_deviation, 100, 1e-6, _SEARCH),
     "corollary2": Suite(
         _pure,
-        _ONE_SIDED,
+        _each(("d_ab", "d_ba"), NUMERIC),
         _pure_discord_deviation,
         100,
         1e-6,
         {"dims": PURE_DISCORD_DIMS, **_SEARCH},
     ),
     "theorem5": Suite(
-        _mixed, (("class3", MIN), ("class3", MAX)), _class3_extrema_deviation, 200, 1e-6, _SEARCH
+        _mixed, _each(("v", "v_tilde"), ANALYTIC, NUMERIC), _agreement_deviation, 200, 1e-6, _SEARCH
     ),
 }
 
@@ -252,8 +251,8 @@ def run_suite(
         raise DiscohError(f"seed must be at least 0, got {seed}")
     if workers < 1:
         raise DiscohError(f"workers must be at least 1, got {workers}")
-    if not math.isfinite(tol):
-        raise DiscohError(f"tol must be finite, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DiscohError(f"tol must be finite and at least 0, got {tol}")
     kw = dict(suite.options)
     kw.update((key, value) for key, value in options.items() if value is not None)
     if "dims" in kw:
@@ -310,24 +309,13 @@ def werner_sweep(lo: float = 0.0, hi: float = 1.0, steps: int = 101) -> list[dic
         raise DiscohError("steps must be at least 2")
     if not (0.0 <= lo < hi <= 1.0):
         raise DiscohError(f"need 0 <= lo < hi <= 1, got lo={lo}, hi={hi}")
+    requests = _each(("d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh"), ANALYTIC)
     rows = []
-    for i in range(steps):
+    for i in range(steps):  # a row at a time: the rows share no search
         p = lo + (hi - lo) * (i / (steps - 1))
-        rho = make_werner(p)
-        d_ab = discord_ab_analytic(rho)[0]
-        d_ba = discord_ba_analytic(rho)[0]
-        v, vt = v_measures_analytic(rho)
-        violated, m = chsh_violation(rho)
-        rows.append(
-            {
-                "p": p,
-                "d_ab": d_ab,
-                "d_ba": d_ba,
-                "d_sym": d_ab + d_ba,
-                "v": v,
-                "v_tilde": vt,
-                "horodecki_m": m,
-                "chsh_violated": violated,
-            }
-        )
+        (recs,) = records([Evaluation(make_werner(p))], requests)
+        row = {"p": p, **{rec["measure"]: rec["value"] for rec in recs}}
+        row["horodecki_m"] = row.pop("chsh")
+        row["chsh_violated"] = recs[-1]["detail"]["violated"]
+        rows.append(row)
     return rows

@@ -80,6 +80,7 @@ class TestExitCodes:
             ("--tol", "inf"),
             ("--workers", "0"),
             ("--workers", "-2"),
+            ("--tol", "-1"),
         ],
     )
     def test_verify_that_checks_nothing_is_usage_error(self, flags, capsys, monkeypatch):

@@ -6,23 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discoh import measures
-from discoh.coherence import OptimizerConfig, minimize_over_bases
+from discoh.coherence import MIN, OptimizerConfig, minimize_over_bases, search_bases
 from discoh.discord import (
     DiscordReport,
     MeasurementDirection,
     discord_ab_analytic,
     discord_ba_analytic,
 )
+from discoh.entanglement import concurrence_pure
 from discoh.errors import ConsistencyError, DiscohError, NormalizationError, UnsupportedDimensionError
 from discoh.measures import discord_report, evaluate
 from discoh.states import (
     DensityMatrix,
     PureState,
+    bloch_decompose,
     make_bell,
     make_werner,
     random_classical,
     random_mixed,
     random_pure,
+    random_unitary,
 )
 
 FAST = OptimizerConfig(restarts=8, seed=0)
@@ -124,6 +127,32 @@ class TestTwoSide:
         opt = minimize_over_bases(product_plus_state(), "tilde_total", FAST)
         assert opt.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_pure_states_give_half_the_squared_concurrence(self):
+        # on a pure state d_tilde = c^2 / 2 on any dims, as d_ab and d_ba are
+        psis = [
+            random_pure(dims, seed)
+            for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))
+            for seed in (600, 601, 602)
+        ]
+        optima = search_bases([(psi.to_density(), "tilde_total", MIN) for psi in psis])
+        for psi, opt in zip(psis, optima):
+            assert opt.value == pytest.approx(concurrence_pure(psi) ** 2 / 2, abs=1e-8), psi.dims
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_local_bloch_vectors_close_the_bracket(self, seed):
+        # with x = y = 0 both one-sided measures are (|T|^2 - s_max(T)^2) / 4,
+        # and the bracket max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba closes on it
+        rng = np.random.default_rng(700 + seed)
+        bells = [make_bell(which).amplitudes for which in ("phi+", "phi-", "psi+", "psi-")]
+        mat = sum(w * np.outer(b, b.conj()) for w, b in zip(rng.dirichlet(np.ones(4)), bells))
+        u = np.kron(random_unitary(2, 2 * seed), random_unitary(2, 2 * seed + 1))
+        rho = DensityMatrix((2, 2), u @ mat @ u.conj().T)
+        rep = bloch_decompose(rho)
+        assert np.abs(rep.x).max() < 1e-12 and np.abs(rep.y).max() < 1e-12
+        d_tilde = minimize_over_bases(rho, "tilde_total").value
+        assert d_tilde == pytest.approx(discord_ab_analytic(rho)[0], abs=1e-8)
+        assert d_tilde == pytest.approx(discord_ba_analytic(rho)[0], abs=1e-8)
+
 
 class TestReport:
     def test_auto_on_two_qubits_is_analytic(self):
@@ -182,6 +211,41 @@ class TestReport:
     def test_sum_enforced_at_construction(self):
         with pytest.raises(ConsistencyError):
             DiscordReport(d_ab=0.4, d_ba=0.3, d_sym=0.5, d_tilde=None, method="analytic")
+
+
+class TestMeasureTable:
+    def test_analytic_evaluate_runs_each_closed_form_once(self, monkeypatch):
+        # d_sym reuses the d_ab and d_ba values, v_tilde the call that gave v
+        closed_forms = ("discord_ab_analytic", "discord_ba_analytic")
+        closed_forms += ("v_measures_analytic", "chsh_violation")
+        calls = []
+
+        def counted(name, closed):
+            return lambda rho: calls.append(name) or closed(rho)
+
+        for name in closed_forms:
+            monkeypatch.setattr(measures, name, counted(name, getattr(measures, name)))
+        records = evaluate(random_mixed((2, 2), 3, 5), ["all"], "analytic")
+        names = [record["measure"] for record in records]
+        assert names == ["d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh", "concurrence"]
+        assert sorted(calls) == sorted(closed_forms)
+
+    def test_records_of_many_states_run_one_search_state_by_state(self, monkeypatch):
+        calls = []
+        search = measures.search_bases
+
+        def counted(jobs, config):
+            calls.append([(rho.dims, objective, sense) for rho, objective, sense in jobs])
+            return search(jobs, config)
+
+        monkeypatch.setattr(measures, "search_bases", counted)
+        states = [make_werner(0.4), random_mixed((2, 3), 3, 8)]
+        requests = [("d_sym", "numeric"), ("v", "numeric"), ("d_ab", "numeric")]
+        together = measures.records([measures.Evaluation(rho) for rho in states], requests, FAST)
+        keys = [("class1", "min"), ("class2", "min"), ("class3", "min")]
+        assert calls == [[(rho.dims, *key) for rho in states for key in keys]]
+        alone = [measures.records([measures.Evaluation(rho)], requests, FAST)[0] for rho in states]
+        assert together == alone
 
 
 class TestMeasurementDirection:

@@ -44,6 +44,23 @@ def test_scripts_take_only_a_nonnegative_seed(name, argv, monkeypatch, capsys):
     assert "--seed" in err and "at least 0" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "name, steps",
+    [("phase_damping_decay", "1"), ("phase_damping_decay", "0"), ("werner_sweep", "1")],
+)
+def test_scripts_take_at_least_two_steps(name, steps, monkeypatch, capsys):
+    # a grid of one point has no spacing; the parser turns it away before any work
+    script = load_script(name)
+    work = "discoh_main" if name == "werner_sweep" else "apply_channel"
+    monkeypatch.setattr(script, work, lambda *args, **kwargs: pytest.fail("work started"))
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--steps", steps])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--steps" in err and "at least 2" in err and out == ""
+
+
 def test_werner_script_prints_the_sweep_command_csv(monkeypatch, capsys):
     from discoh.cli import main
 

@@ -206,7 +206,9 @@ class TestRunSuite:
         result = run_suite("classical-zero", trials=3)
         assert (result.trials, result.tol) == (3, 1e-9)
 
-    @pytest.mark.parametrize("trials, tol", [(0, None), (-1, None), (3, float("nan")), (3, float("inf"))])
+    @pytest.mark.parametrize(
+        "trials, tol", [(0, None), (-1, None), (3, float("nan")), (3, float("inf")), (3, -1.0)]
+    )
     def test_rejects_a_campaign_that_checks_nothing(self, trials, tol):
         with pytest.raises(DiscohError):
             run_suite("eq64", trials, tol)
