@@ -11,16 +11,9 @@ import sys
 
 import numpy as np
 
-from discoh import (
-    PureState,
-    apply_channel,
-    chsh_violation,
-    contributions,
-    discord_ab_analytic,
-    make_bell,
-    phase_damping,
-)
+from discoh import PureState, apply_channel, contributions, make_bell, phase_damping
 from discoh.cli import _integer
+from discoh.measures import ANALYTIC, Evaluation, records
 
 
 def source_state(product: bool):
@@ -38,14 +31,14 @@ def main() -> int:
     args = ap.parse_args()
 
     rho0 = source_state(args.product)
+    gammas = [i / (args.steps - 1) for i in range(args.steps)]
+    rhos = [apply_channel(rho0, phase_damping(gamma, "A")) for gamma in gammas]
+    found = records([Evaluation(rho) for rho in rhos], [("d_ab", ANALYTIC), ("chsh", ANALYTIC)])
     print("gamma,class1,class2,class3,tilde_total,total,d_ab,horodecki_m")
-    for i in range(args.steps):
-        gamma = i / (args.steps - 1)
-        rho = apply_channel(rho0, phase_damping(gamma, "A"))
+    for gamma, rho, (d_ab, chsh) in zip(gammas, rhos, found):
         c = contributions(rho)
-        d_ab = discord_ab_analytic(rho)[0]
-        m = chsh_violation(rho)[1]
-        cells = (gamma, c.class1, c.class2, c.class3, c.tilde_total, c.total, d_ab, m)
+        cells = (gamma, c.class1, c.class2, c.class3, c.tilde_total, c.total)
+        cells += (d_ab["value"], chsh["value"])
         print(",".join(format(x, ".12g") for x in cells))
     return 0
 

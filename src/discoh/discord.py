@@ -11,7 +11,11 @@ single-count off-diagonal sum over product bases, has no closed form and is
 always computed by the basis search; it is bracketed by
 max(d_ab, d_ba) <= d_tilde <= d_ab + d_ba.  bracket_violation says by how
 much a value misses it, for DiscordReport and the two-side-sandwich campaign.
-The numeric routes and discord_report live in measures.py.
+
+one_sided_closed_form computes either closed form for a whole stack of
+states at once; measures.records calls it once per side for every state
+of a block.  discord_ab_analytic and discord_ba_analytic are its calls on
+one state.  The numeric routes and discord_report live in measures.py.
 """
 
 from dataclasses import dataclass
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DiscohError, NormalizationError, UnsupportedDimensionError
+from .linalg import row_dots
 from .states import DensityMatrix, bloch_decompose
 
 ANALYTIC = "analytic"
@@ -73,23 +78,39 @@ def bracket_violation(d_ab: float, d_ba: float, d_tilde: float) -> float:
     return max(0.0, max(d_ab, d_ba) - d_tilde, d_tilde - (d_ab + d_ba))
 
 
-def _lexmax_unit(span: np.ndarray) -> np.ndarray:
-    """Unit vector in the column span with lexicographically largest entries."""
-    for k in range(span.shape[0]):
-        v = span @ span[k].conj()
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-12:
-            return (v / nrm).real
-    raise ConsistencyError("eigenvector span is degenerate to numerical zero")
+def _lexmax_unit(spans: np.ndarray) -> np.ndarray:
+    """Per state, the unit vector in the span of the columns of spans (N, 3, 3)
+    with lexicographically largest entries: span @ span[k], normalized, for the
+    first row k where that is not numerically zero."""
+    candidates = spans @ spans.swapaxes(1, 2)  # symmetric: row k is span @ span[k]
+    norms = np.sqrt(row_dots(candidates))
+    found = norms > 1e-12
+    if not found.any(axis=1).all():
+        raise ConsistencyError("eigenvector span is degenerate to numerical zero")
+    k = np.argmax(found, axis=1)
+    rows = np.arange(len(k))
+    return candidates[rows, k] / norms[rows, k, None]
 
 
-def _closed_form(local: np.ndarray, corr: np.ndarray) -> tuple[float, MeasurementDirection]:
-    mmat = np.outer(local, local) + corr @ corr.T
+def one_sided_closed_form(local: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form one-sided measures of a stack of states, with their directions.
+
+    local (N, 3) is the measured side's Bloch vector and corr (N, 3, 3) the
+    correlation matrix with the measured side's index first: x and T for
+    d_ab, y and T^t for d_ba.  Returns the values (N,) and the unit
+    measurement directions (N, 3).  A degenerate top eigenvalue spans
+    several directions; the lexicographically largest is taken.
+    """
+    mmat = local[:, :, None] * local[:, None, :] + corr @ corr.swapaxes(1, 2)
     w, v = np.linalg.eigh(mmat)
-    lam = float(w[-1])
-    span = v[:, w >= w[-1] - 1e-12]
-    value = 0.25 * (float(np.dot(local, local)) + float(np.sum(corr * corr)) - lam)
-    return max(value, 0.0), MeasurementDirection(_lexmax_unit(span))
+    lam = w[:, -1]
+    top = w >= lam[:, None] - 1e-12  # the columns spanning the top eigenspace
+    value = 0.25 * (row_dots(local) + np.sum(corr * corr, axis=(1, 2)) - lam)
+    directions = _lexmax_unit(v * top[:, None, :])
+    bad = np.flatnonzero(np.abs(row_dots(directions) - 1.0) > 1e-12)
+    if bad.size:
+        MeasurementDirection(directions[bad[0]])  # raises NormalizationError
+    return np.maximum(value, 0.0), directions
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str):
@@ -101,11 +122,13 @@ def discord_ab_analytic(rho: DensityMatrix) -> tuple[float, MeasurementDirection
     """Closed-form measure with the minimizing measurement on side A."""
     _require_two_qubits(rho, "d_ab")
     rep = bloch_decompose(rho)
-    return _closed_form(rep.x, rep.T)
+    values, directions = one_sided_closed_form(rep.x[None], rep.T[None])
+    return float(values[0]), MeasurementDirection(directions[0])
 
 
 def discord_ba_analytic(rho: DensityMatrix) -> tuple[float, MeasurementDirection]:
     """Closed-form measure with the minimizing measurement on side B."""
     _require_two_qubits(rho, "d_ba")
     rep = bloch_decompose(rho)
-    return _closed_form(rep.y, rep.T.T)
+    values, directions = one_sided_closed_form(rep.y[None], rep.T.T[None])
+    return float(values[0]), MeasurementDirection(directions[0])

@@ -57,6 +57,11 @@ def hermitian_eigen(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
+def row_dots(v: np.ndarray) -> np.ndarray:
+    """v . v of every vector along the last axis, each summed as np.dot sums it."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def frobenius_sq(mat: np.ndarray) -> float:
     """Sum of squared moduli of all entries."""
     mat = np.asarray(mat)

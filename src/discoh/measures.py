@@ -10,24 +10,27 @@ two-qubit closed form, or both:
   chsh, concurrence, monogamy                   closed form only
 
 analyze, discord_report, the campaigns and the Werner sweep ask records()
-for (measure, method) records of many states.  Each closed-form function
-runs at most once per state, and one batched search finds every state's
-distinct (objective, sense) optima.  Searches and closed forms are called
-through this module's names at call time, so the table holds names, not
-functions.
+for (measure, method) records of many states.  The closed forms of Bloch
+data (BLOCH_CLOSED_FORMS) run as stacked kernels over all the states at
+once: one Bloch decomposition per state, one one-sided kernel call per
+side, one spectrum call for v, v_tilde and chsh.  Concurrence and monogamy
+run state by state.  Then one batched search finds every state's distinct
+(objective, sense) optima.  Searches and kernels are called through this
+module's names at call time, so the table holds names, not functions.
 """
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coherence import MAX, MIN, OptimizerConfig, search_bases
-from .discord import ANALYTIC, NUMERIC, DiscordReport, discord_ab_analytic, discord_ba_analytic
+from .discord import ANALYTIC, NUMERIC, DiscordReport, one_sided_closed_form
 from .entanglement import concurrence_mixed_2q, concurrence_pure, monogamy_check
 from .errors import DiscohError, MixedStateError, UnsupportedDimensionError
 from .linalg import hermitian_eigen
-from .nonlocality import chsh_violation, v_measures_analytic
-from .states import DensityMatrix, PureState
+from .nonlocality import spectrum_closed_forms
+from .states import DensityMatrix, PureState, bloch_stack
 
 AUTO = "auto"
 BOTH = "both"
@@ -57,6 +60,10 @@ MEASURES = {
     "monogamy": Measure(closed_form=True, needs=("pure",)),
 }
 
+# The closed forms that two-qubit Bloch data give; records computes them
+# for a block of states at once, the others state by state.
+BLOCH_CLOSED_FORMS = ("d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh")
+
 
 def _dominant_pure(rho: DensityMatrix) -> PureState:
     """The pure state of a projector, with its largest amplitude made real and positive."""
@@ -79,14 +86,19 @@ def _record(measure: str, method: str, value, detail: dict, converged) -> dict:
 
 
 class Evaluation:
-    """One state: which measures apply to it, and the closed forms run on it so far."""
+    """One state: which measures apply to it, and its closed forms that are
+    computed one state at a time (concurrence, monogamy)."""
 
     def __init__(self, rho: DensityMatrix):
         self.rho = rho
         self.two_qubit = rho.dims == (2, 2)
         self.purity = rho.purity()
         self.pure = self.purity >= 1.0 - PURITY_PURE_TOL
-        self._done = {}  # function -> its value on rho, computed on the first call only
+
+    @cached_property
+    def _pure_state(self) -> PureState:
+        """The state as a state vector, shared by concurrence and monogamy."""
+        return _dominant_pure(self.rho)
 
     def applies(self, measure: str) -> bool:
         needs = MEASURES[measure].needs
@@ -113,28 +125,13 @@ class Evaluation:
             return [ANALYTIC if self.two_qubit else NUMERIC]
         return [ANALYTIC, NUMERIC] if method == BOTH else [method]
 
-    def _once(self, fn):
-        if fn not in self._done:
-            self._done[fn] = fn(self.rho)
-        return self._done[fn]
-
     def _closed_form(self, measure: str) -> tuple[float, dict]:
-        if measure in ("d_ab", "d_ba"):
-            closed = discord_ab_analytic if measure == "d_ab" else discord_ba_analytic
-            value, direction = self._once(closed)
-            return value, {"direction": direction.p.tolist()}
-        if measure == "d_sym":
-            return self._once(discord_ab_analytic)[0] + self._once(discord_ba_analytic)[0], {}
-        if measure in ("v", "v_tilde"):
-            return self._once(v_measures_analytic)[measure == "v_tilde"], {}
-        if measure == "chsh":
-            violated, m = self._once(chsh_violation)
-            return m, {"violated": violated}
+        """Concurrence or monogamy: (value, detail)."""
         if measure == "concurrence":
             if self.pure:
-                return concurrence_pure(self._once(_dominant_pure)), {}
+                return concurrence_pure(self._pure_state), {}
             return concurrence_mixed_2q(self.rho), {}
-        terms = asdict(monogamy_check(self._once(_dominant_pure)))
+        terms = asdict(monogamy_check(self._pure_state))
         return terms.pop("residual"), terms
 
     def _searched(self, measure: str, found: dict) -> dict:
@@ -145,20 +142,63 @@ class Evaluation:
         return _record(measure, NUMERIC, value, detail, all(opt.converged for opt in optima))
 
 
+def _bloch_closed_forms(evaluations, names) -> dict:
+    """Every state's closed forms of the names that come from two-qubit Bloch
+    data, as name -> (values, key, details): state i's record has the value
+    values[i] and the detail {key: details[i]}, or {} where key is None.
+
+    One Bloch decomposition per state, and one call of each stacked kernel
+    the names need (one-sided discord per side, spectrum) for all of them.
+    """
+    names = [name for name in names if name in BLOCH_CLOSED_FORMS]
+    if not (names and evaluations):
+        return {}
+    for ev in evaluations:
+        if not ev.two_qubit:
+            raise UnsupportedDimensionError(
+                f"{names[0]} closed form needs dims (2, 2), got {ev.rho.dims}"
+            )
+    names = set(names)
+    x, y, t = bloch_stack(np.stack([ev.rho.mat for ev in evaluations]))
+    out = {}
+    for name, local, corr in (("d_ab", x, t), ("d_ba", y, t.swapaxes(1, 2))):
+        if names & {name, "d_sym"}:
+            values, directions = one_sided_closed_form(local, corr)
+            out[name] = (values.tolist(), "direction", directions.tolist())
+    if "d_sym" in names:
+        out["d_sym"] = ([a + b for a, b in zip(out["d_ab"][0], out["d_ba"][0])], None, None)
+    if names & {"v", "v_tilde", "chsh"}:
+        v, v_tilde, m, violated = spectrum_closed_forms(t)
+        out["v"] = (v.tolist(), None, None)
+        out["v_tilde"] = (v_tilde.tolist(), None, None)
+        out["chsh"] = (m.tolist(), "violated", violated.tolist())
+    return out
+
+
 def records(evaluations, requests, config: OptimizerConfig | None = None) -> list[list[dict]]:
     """Each state's records of the (measure, method) requests, in request order.
 
     Every state's closed forms run first, so one that cannot run fails
-    before any search; then one batched search finds the (objective, sense)
-    optima the numeric records need, state by state.
+    before any search: those of Bloch data as one stacked call per kernel
+    for all the states, concurrence and monogamy state by state.  Then one
+    batched search finds the (objective, sense) optima the numeric records
+    need, state by state.
     """
-    out = [
-        [
-            None if method == NUMERIC else _record(name, method, *ev._closed_form(name), None)
-            for name, method in requests
-        ]
-        for ev in evaluations
-    ]
+    closed = [name for name, method in requests if method != NUMERIC]
+    stacked = _bloch_closed_forms(evaluations, closed)
+    out = []
+    for i, ev in enumerate(evaluations):
+        recs = []
+        for name, method in requests:
+            if method == NUMERIC:
+                recs.append(None)
+            elif name in stacked:
+                values, key, details = stacked[name]
+                detail = {key: details[i]} if key else {}
+                recs.append(_record(name, method, values[i], detail, None))
+            else:
+                recs.append(_record(name, method, *ev._closed_form(name), None))
+        out.append(recs)
     numeric = [name for name, method in requests if method == NUMERIC]
     keys = list(dict.fromkeys(key for name in numeric for key in MEASURES[name].searches))
     optima = iter(search_bases([(ev.rho, *key) for ev in evaluations for key in keys], config))

@@ -9,6 +9,11 @@ Its extremes over all product bases are (s3^2)/4 and (s1^2 + s2^2)/4 with
 s1 >= s2 >= s3 the singular values of T.  The Horodecki quantity
 m = s1^2 + s2^2 decides CHSH violation (m > 1), equivalently
 v_tilde > 1/4, and the two extremes always add up to |T|^2 / 4.
+
+spectrum_closed_forms computes v, v_tilde, m and the violation flag of a
+whole stack of states from one spectrum each; measures.records calls it
+once for every state of a block.  correlation_spectrum,
+v_measures_analytic and chsh_violation are its calls on one state.
 """
 
 from dataclasses import dataclass
@@ -37,18 +42,44 @@ class CorrelationSpectrum:
         object.__setattr__(self, "singular_values", s)
 
 
+def _spectra(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (N, 3), descending, and squared norms (N,) of a stack of
+    correlation matrices, via the eigenvalues of T T^t; checked as
+    CorrelationSpectrum checks one."""
+    w = np.clip(np.linalg.eigvalsh(t @ t.swapaxes(1, 2)), 0.0, None)
+    s = np.sqrt(w[:, ::-1])
+    bad = np.flatnonzero((s < 0.0).any(axis=1) | (s[:, 1:] > s[:, :-1]).any(axis=1))
+    if bad.size:
+        CorrelationSpectrum(s[bad[0]], 0.0)  # raises ConsistencyError
+    return s, np.sum(w, axis=1)
+
+
+def spectrum_closed_forms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """v, v_tilde, the Horodecki m and the CHSH violation flags of a stack of
+    correlation matrices T (N, 3, 3), from one spectrum per state."""
+    s, t_norm_sq = _spectra(t)
+    # C pow on each entry, as Python's float ** 2 computes it; s**2 on an array
+    # multiplies instead, which rounds differently now and then
+    sq = np.float_power(s, 2)
+    m = sq[:, 0] + sq[:, 1]
+    v = sq[:, 2] / 4.0
+    violated = m > 1.0
+    # equivalent reading: the minimized class sum drops below (|T|^2 - 1)/4
+    if np.any(violated & ~(v < (t_norm_sq - 1.0) / 4.0 + 1e-12)):
+        raise ConsistencyError("violation flag disagrees with the minimized class sum")
+    return v, m / 4.0, m, violated
+
+
 def correlation_spectrum(rho: DensityMatrix) -> CorrelationSpectrum:
     """Spectrum of the correlation matrix via the eigenvalues of T T^t."""
-    t = bloch_decompose(rho).T
-    w = np.linalg.eigvalsh(t @ t.T)
-    w = np.clip(w, 0.0, None)
-    return CorrelationSpectrum(np.sqrt(w[::-1]), float(np.sum(w)))
+    s, t_norm_sq = _spectra(bloch_decompose(rho).T[None])
+    return CorrelationSpectrum(s[0], float(t_norm_sq[0]))
 
 
 def v_measures_analytic(rho: DensityMatrix) -> tuple[float, float]:
     """Closed-form extremes (v, v_tilde) of the anti-diagonal class sum."""
-    s = correlation_spectrum(rho).singular_values
-    return float(s[2] ** 2 / 4.0), float((s[0] ** 2 + s[1] ** 2) / 4.0)
+    v, v_tilde, _, _ = spectrum_closed_forms(bloch_decompose(rho).T[None])
+    return float(v[0]), float(v_tilde[0])
 
 
 def _unit(p, name: str) -> np.ndarray:
@@ -101,13 +132,5 @@ def basis_pair_from_directions(p1, p2) -> LocalBasisPair:
 
 def chsh_violation(rho: DensityMatrix) -> tuple[bool, float]:
     """CHSH violation flag and the Horodecki quantity s1^2 + s2^2."""
-    corr = correlation_spectrum(rho)
-    s = corr.singular_values
-    m = float(s[0] ** 2 + s[1] ** 2)
-    violates = m > 1.0
-    if violates:
-        # equivalent reading: the minimized class sum drops below (|T|^2 - 1)/4
-        v_min = float(s[2] ** 2 / 4.0)
-        if not v_min < (corr.t_norm_sq - 1.0) / 4.0 + 1e-12:
-            raise ConsistencyError("violation flag disagrees with the minimized class sum")
-    return violates, m
+    _, _, m, violated = spectrum_closed_forms(bloch_decompose(rho).T[None])
+    return bool(violated[0]), float(m[0])

@@ -23,7 +23,7 @@ from .errors import (
     TraceError,
     UnsupportedDimensionError,
 )
-from .linalg import PAULI, frobenius_sq, hermiticity_defect, partial_trace
+from .linalg import PAULI, frobenius_sq, hermiticity_defect, partial_trace, row_dots
 
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -35,6 +35,7 @@ CHANNEL_TOL = 1e-10
 _BLOCH_A = np.stack([np.kron(PAULI[i], np.eye(2, dtype=complex)) for i in range(3)])
 _BLOCH_B = np.stack([np.kron(np.eye(2, dtype=complex), PAULI[j]) for j in range(3)])
 _BLOCH_T = np.stack([[np.kron(PAULI[i], PAULI[j]) for j in range(3)] for i in range(3)])
+_BLOCH = np.concatenate([_BLOCH_A, _BLOCH_B, _BLOCH_T.reshape(9, 4, 4)])  # x, y, T row by row
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -137,6 +138,26 @@ class BlochRep:
         object.__setattr__(self, "T", T)
 
 
+def bloch_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pauli components of a stack of two-qubit matrices (N, 4, 4).
+
+    Returns x, y of shape (N, 3) and T of shape (N, 3, 3), checked as
+    BlochRep checks them; the first state that fails raises.
+    """
+    comps = np.einsum("nab,kba->nk", mats, _BLOCH)
+    worst = np.abs(comps.imag).max(axis=1)
+    comps = comps.real
+    x, y, t = comps[:, :3], comps[:, 3:6], comps[:, 6:].reshape(-1, 3, 3)
+    too_long = np.maximum(row_dots(x), row_dots(y)) > 1.0 + 1e-9
+    bad = np.flatnonzero((worst > 1e-10) | too_long)
+    if bad.size:
+        i = bad[0]
+        if worst[i] > 1e-10:
+            raise HermiticityError(f"Bloch components have imaginary part {worst[i]:.3e}")
+        BlochRep(x[i], y[i], t[i])  # raises, naming the vector that is too long
+    return x, y, t
+
+
 def bloch_decompose(rho: DensityMatrix) -> BlochRep:
     """Pauli components of a two-qubit state.
 
@@ -145,13 +166,8 @@ def bloch_decompose(rho: DensityMatrix) -> BlochRep:
     """
     if rho.dims != (2, 2):
         raise UnsupportedDimensionError(f"Bloch form needs dims (2, 2), got {rho.dims}")
-    x = np.einsum("ab,iba->i", rho.mat, _BLOCH_A)
-    y = np.einsum("ab,jba->j", rho.mat, _BLOCH_B)
-    T = np.einsum("ab,ijba->ij", rho.mat, _BLOCH_T)
-    worst = max(np.max(np.abs(x.imag)), np.max(np.abs(y.imag)), np.max(np.abs(T.imag)))
-    if worst > 1e-10:
-        raise HermiticityError(f"Bloch components have imaginary part {worst:.3e}")
-    return BlochRep(x.real, y.real, T.real)
+    x, y, t = bloch_stack(rho.mat[None])
+    return BlochRep(x[0], y[0], t[0])
 
 
 def bloch_compose(rep: BlochRep) -> DensityMatrix:
@@ -171,23 +187,28 @@ _BELL = {
 }
 
 
+def _bell_amplitudes(key: str) -> np.ndarray:
+    i, j, sign = _BELL[key]
+    amp = np.zeros(4, dtype=complex)
+    amp[i] = 1.0 / np.sqrt(2.0)
+    amp[j] = sign / np.sqrt(2.0)
+    return amp
+
+
 def make_bell(which: str = "phi+") -> PureState:
     """One of the four Bell states on dims (2, 2)."""
     key = which.lower()
     if key not in _BELL:
         raise DiscohError(f"unknown Bell state {which!r}; choose from {sorted(_BELL)}")
-    i, j, sign = _BELL[key]
-    amp = np.zeros(4, dtype=complex)
-    amp[i] = 1.0 / np.sqrt(2.0)
-    amp[j] = sign / np.sqrt(2.0)
-    return PureState((2, 2), amp)
+    return PureState((2, 2), _bell_amplitudes(key))
 
 
 def make_werner(p: float) -> DensityMatrix:
     """Werner mixture p |phi+><phi+| + (1 - p) 1/4."""
     if not 0.0 <= p <= 1.0:
         raise DiscohError(f"werner parameter must lie in [0, 1], got {p}")
-    proj = make_bell("phi+").to_density().mat
+    amp = _bell_amplitudes("phi+")
+    proj = np.outer(amp, amp.conj())
     return DensityMatrix((2, 2), p * proj + (1.0 - p) * np.eye(4, dtype=complex) / 4.0)
 
 

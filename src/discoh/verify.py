@@ -37,6 +37,10 @@ TWO_QUBIT_DIMS = (2, 2)
 MONOGAMY_DIMS = ((2, 2), (2, 3), (3, 3), (4, 4))
 PURE_DISCORD_DIMS = ((2, 2), (2, 3), (3, 3))
 
+# Werner rows per records call: one stacked call per block, and a block's
+# states and records are all a sweep holds at once besides its rows.
+_SWEEP_BLOCK = 50
+
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -72,8 +76,9 @@ def _deviations(name: str, seed: int, options: dict, config, start: int, stop: i
     values = [{}] * len(inputs)
     if suite.requests:  # a pure input is measured as its density matrix
         states = [x.to_density() if isinstance(x, PureState) else x for x in inputs]
-        found = records([Evaluation(rho) for rho in states], suite.requests, config)
-        values = [{(rec["measure"], rec["method"]): rec["value"] for rec in recs} for recs in found]
+        values = records([Evaluation(rho) for rho in states], suite.requests, config)
+        for k, recs in enumerate(values):  # in place: a block's records go as its values come
+            values[k] = {(rec["measure"], rec["method"]): rec["value"] for rec in recs}
     return [suite.deviation(x, vals) for x, vals in zip(inputs, values)]
 
 
@@ -310,12 +315,18 @@ def werner_sweep(lo: float = 0.0, hi: float = 1.0, steps: int = 101) -> list[dic
     if not (0.0 <= lo < hi <= 1.0):
         raise DiscohError(f"need 0 <= lo < hi <= 1, got lo={lo}, hi={hi}")
     requests = _each(("d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh"), ANALYTIC)
+    grid = [lo + (hi - lo) * (i / (steps - 1)) for i in range(steps)]
     rows = []
-    for i in range(steps):  # a row at a time: the rows share no search
-        p = lo + (hi - lo) * (i / (steps - 1))
-        (recs,) = records([Evaluation(make_werner(p))], requests)
-        row = {"p": p, **{rec["measure"]: rec["value"] for rec in recs}}
-        row["horodecki_m"] = row.pop("chsh")
-        row["chsh_violated"] = recs[-1]["detail"]["violated"]
-        rows.append(row)
+    for start in range(0, steps, _SWEEP_BLOCK):
+        block = grid[start : start + _SWEEP_BLOCK]
+        found = records([Evaluation(make_werner(p)) for p in block], requests)
+        rows += map(_werner_row, block, found)
+        del found  # the next block's records replace this one's, not add to them
     return rows
+
+
+def _werner_row(p: float, recs: list[dict]) -> dict:
+    row = {"p": p, **{rec["measure"]: rec["value"] for rec in recs}}
+    row["horodecki_m"] = row.pop("chsh")
+    row["chsh_violated"] = recs[-1]["detail"]["violated"]
+    return row

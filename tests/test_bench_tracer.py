@@ -89,6 +89,33 @@ def test_traced_qudit_one_sided_campaign_changes_nothing(tracing):
     assert metrics["coherence.unitaries_rows"] > 0
 
 
+def test_traced_closed_form_paths_change_nothing(tracing, tmp_path, capsys):
+    # sweep, eq64 and an analytic analyze reach the closed forms through the
+    # stacked kernels, which the tracer does not wrap; its wrappers around
+    # the CLI, the campaigns and state validation must still change nothing
+    werner = tmp_path / "werner.json"
+    assert cli.main(["generate", "werner", "--p", "0.7", "-o", str(werner)]) == 0
+
+    def run():
+        sweep = cli.main(["sweep", "--steps", "101"])
+        campaign = replace(verify.class3_sum_rule_campaign(trials=50, seed=0), seconds=0.0)
+        analyze = cli.main(["analyze", str(werner), "--method", "analytic", "--format", "json"])
+        return sweep, campaign, analyze, capsys.readouterr().out
+
+    plain = run()
+    tracer = tracing.Tracer().install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert plain[0] == plain[2] == 0 and plain[1].passed
+    assert plain[3].count("\n") == 103  # the sweep's header and rows, then one JSON line
+    metrics = tracer.metrics()
+    assert set(metrics) == set(tracing.PER_LAYER)
+    assert metrics["verify.campaign_s.eq64"] > 0
+
+
 def test_uninstall_restores_the_program(tracing):
     from discoh import coherence, states
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discoh import measures
+from discoh import discord, measures
 from discoh.coherence import MIN, OptimizerConfig, minimize_over_bases, search_bases
 from discoh.discord import (
     DiscordReport,
@@ -16,6 +16,7 @@ from discoh.discord import (
 from discoh.entanglement import concurrence_pure
 from discoh.errors import ConsistencyError, DiscohError, NormalizationError, UnsupportedDimensionError
 from discoh.measures import discord_report, evaluate
+from discoh.nonlocality import chsh_violation, v_measures_analytic
 from discoh.states import (
     DensityMatrix,
     PureState,
@@ -215,20 +216,64 @@ class TestReport:
 
 class TestMeasureTable:
     def test_analytic_evaluate_runs_each_closed_form_once(self, monkeypatch):
-        # d_sym reuses the d_ab and d_ba values, v_tilde the call that gave v
-        closed_forms = ("discord_ab_analytic", "discord_ba_analytic")
-        closed_forms += ("v_measures_analytic", "chsh_violation")
+        # one call of each stacked kernel a records call needs, over all its
+        # states: one Bloch decomposition per state, one one-sided kernel per
+        # side, one spectrum for v, v_tilde and chsh
         calls = []
 
-        def counted(name, closed):
-            return lambda rho: calls.append(name) or closed(rho)
+        def counted(name, kernel):
+            return lambda *arrays: calls.append((name, len(arrays[0]))) or kernel(*arrays)
 
-        for name in closed_forms:
+        bloch, one_sided, spectrum = "bloch_stack", "one_sided_closed_form", "spectrum_closed_forms"
+        for name in (bloch, one_sided, spectrum):
             monkeypatch.setattr(measures, name, counted(name, getattr(measures, name)))
         records = evaluate(random_mixed((2, 2), 3, 5), ["all"], "analytic")
         names = [record["measure"] for record in records]
         assert names == ["d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh", "concurrence"]
-        assert sorted(calls) == sorted(closed_forms)
+        assert calls == [(bloch, 1), (one_sided, 1), (one_sided, 1), (spectrum, 1)]
+        evaluations = [measures.Evaluation(make_werner(p)) for p in (0.1, 0.5, 0.9)]
+        evaluations.append(measures.Evaluation(random_mixed((2, 2), 4, 6)))
+        for names, kernels in [
+            (("d_sym", "chsh"), (bloch, one_sided, one_sided, spectrum)),
+            (("v", "v_tilde"), (bloch, spectrum)),
+            (("d_ba",), (bloch, one_sided)),
+            (("concurrence",), ()),
+        ]:
+            calls.clear()
+            measures.records(evaluations, [(name, "analytic") for name in names])
+            assert calls == [(kernel, 4) for kernel in kernels]
+
+    @pytest.mark.parametrize("method", ["analytic", "both"])
+    def test_analytic_records_of_a_block_equal_each_state_alone(self, method):
+        # bit for bit, directions too; Werner, Bell and product states have
+        # degenerate top eigenvalues, where the direction is the lexmax pick
+        amp = np.zeros(4, dtype=complex)
+        amp[0] = amp[1] = 1 / np.sqrt(2)
+        states = [make_werner(p) for p in (0.0, 1 / 3, 1.0)]
+        states += [make_bell(which).to_density() for which in ("phi+", "phi-", "psi+", "psi-")]
+        states += [PureState((2, 2), amp).to_density(), random_classical((2, 2), 3)]
+        states += [random_mixed((2, 2), rank, 20 + rank) for rank in (1, 2, 3, 4)]
+        names = ("d_ab", "d_ba", "d_sym", "v", "v_tilde", "chsh", "concurrence")
+        requests = [(name, "analytic") for name in names]
+        if method == "both":  # a search in the same call changes no closed form
+            requests.append(("v", "numeric"))
+        block = measures.records([measures.Evaluation(rho) for rho in states], requests, FAST)
+        alone = [measures.records([measures.Evaluation(rho)], requests, FAST)[0] for rho in states]
+        assert repr(block) == repr(alone)
+        for rho, recs in zip(states, block):
+            d_ab, d_ba, _, v, v_tilde, chsh, *_ = recs
+            value, direction = discord_ab_analytic(rho)
+            assert (d_ab["value"], d_ab["detail"]["direction"]) == (value, direction.p.tolist())
+            value, direction = discord_ba_analytic(rho)
+            assert (d_ba["value"], d_ba["detail"]["direction"]) == (value, direction.p.tolist())
+            assert (v["value"], v_tilde["value"]) == v_measures_analytic(rho)
+            assert (chsh["detail"]["violated"], chsh["value"]) == chsh_violation(rho)
+
+    def test_a_closed_form_that_cannot_run_fails_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(measures, "search_bases", lambda *a: pytest.fail("searched"))
+        evaluations = [measures.Evaluation(rho) for rho in (make_werner(0.5), random_mixed((2, 3), 3, 1))]
+        with pytest.raises(UnsupportedDimensionError, match="v closed form needs dims"):
+            measures.records(evaluations, [("d_ab", "numeric"), ("v", "analytic")])
 
     def test_records_of_many_states_run_one_search_state_by_state(self, monkeypatch):
         calls = []
@@ -246,6 +291,20 @@ class TestMeasureTable:
         assert calls == [[(rho.dims, *key) for rho in states for key in keys]]
         alone = [measures.records([measures.Evaluation(rho)], requests, FAST)[0] for rho in states]
         assert together == alone
+
+
+class TestLexmaxUnit:
+    def test_takes_the_first_row_that_is_not_zero(self):
+        spans = np.zeros((2, 3, 3))
+        spans[0] = np.eye(3)  # a full span: the first row gives e_1
+        spans[1, :, 2] = [0.0, -0.6, 0.8]  # one column: its first nonzero entry made positive
+        assert discord._lexmax_unit(spans).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8]]
+
+    def test_an_empty_span_raises(self):
+        spans = np.zeros((2, 3, 3))
+        spans[0] = np.eye(3)
+        with pytest.raises(ConsistencyError, match="degenerate"):
+            discord._lexmax_unit(spans)
 
 
 class TestMeasurementDirection:

@@ -26,6 +26,7 @@ from discoh.states import (
     apply_channel,
     bloch_compose,
     bloch_decompose,
+    bloch_stack,
     load_state,
     make_bell,
     make_werner,
@@ -114,6 +115,29 @@ class TestBloch:
         with pytest.raises(PositivityError):
             bloch_compose(rep)
 
+    def test_stack_equals_each_state_alone(self):
+        states = [make_werner(0.3), bell_dm(), random_classical((2, 2), 4)]
+        states += [random_mixed((2, 2), rank, rank) for rank in (1, 2, 3, 4)]
+        x, y, t = bloch_stack(np.stack([rho.mat for rho in states]))
+        for k, rho in enumerate(states):
+            rep = bloch_decompose(rho)
+            assert np.array_equal(rep.x, x[k]) and np.array_equal(rep.y, y[k])
+            assert np.array_equal(rep.T, t[k])
+
+    def test_stack_raises_for_the_first_bad_matrix(self):
+        imaginary = np.eye(4, dtype=complex) / 4
+        imaginary[0, 1] = 1e-9j  # tr[rho (1 x sigma_x)] = 1e-9 i
+        long_x = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)  # x_3 = 2
+        long_y = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)  # y_3 = 2
+        good = bell_dm().mat
+        for mats, error, match in [
+            ((good, imaginary, long_x), HermiticityError, "imaginary part 1.000e-09"),
+            ((good, long_x, imaginary), NormalizationError, r"\|x\| = 2"),
+            ((long_y, good), NormalizationError, r"\|y\| = 2"),
+        ]:
+            with pytest.raises(error, match=match):
+                bloch_stack(np.stack(mats))
+
     @given(st.integers(0, 10**6))
     @settings(deadline=None, max_examples=30)
     def test_round_trip(self, seed):
@@ -139,6 +163,12 @@ class TestFamilies:
     def test_werner_endpoints(self):
         assert np.allclose(make_werner(0.0).mat, np.eye(4) / 4)
         assert np.allclose(make_werner(1.0).mat, bell_dm().mat)
+
+    def test_werner_mixes_the_phi_plus_projector(self):
+        proj = make_bell("phi+").to_density().mat
+        for p in (0.0, 0.3, 1 / 3, 0.7, 1.0):
+            want = p * proj + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+            assert np.array_equal(make_werner(p).mat, want)
 
     def test_werner_half_bloch(self):
         rep = bloch_decompose(make_werner(0.5))
