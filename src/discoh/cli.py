@@ -6,6 +6,7 @@ deterministic for identical arguments.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from .coherence import OptimizerConfig
-from .errors import DiscohError, UnsupportedDimensionError
+from .errors import DiscohError
 from .measures import MEASURES, METHODS, evaluate
 from .states import (
     PureState,
@@ -185,8 +186,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.family != "werner":
-        raise UnsupportedDimensionError(f"unknown sweep family {args.family!r}")
     rows = werner_sweep(args.lo, args.hi, args.steps)
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
@@ -267,13 +266,14 @@ def _add_optimizer_flags(parser) -> None:
     )
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="discoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_an = sub.add_parser("analyze", help="measures of one state file")
     p_an.add_argument("state", help="input state JSON (dims plus re/im blocks)")
-    p_an.add_argument("--measures", type=_parse_measures, default=["all"])
+    p_an.add_argument("--measures", type=_parse_measures, default=("all",))
     p_an.add_argument("--method", choices=METHODS, default="auto")
     p_an.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_an.add_argument("--output", "-o", default=None)

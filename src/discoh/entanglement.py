@@ -106,7 +106,7 @@ def corollary1_check(
     them (with 1e-9 slack).
     """
     if rho.dims != (2, 2):
-        raise ShapeError(f"mixed-state bound needs dims (2, 2), got {rho.dims}")
+        raise UnsupportedDimensionError(f"mixed-state bound needs dims (2, 2), got {rho.dims}")
     if decomposition_samples < 1:
         raise DiscohError("need at least one decomposition sample")
     lhs = (

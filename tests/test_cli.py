@@ -391,6 +391,18 @@ class TestAnalyze:
         assert code == 2
         assert "chsh needs dims (2, 2)" in err
 
+    def test_named_measures_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        # main reuses one parser, so its --measures default must come back unchanged
+        path = tmp_path / "w.json"
+        run_cli("generate", "werner", "--p", "0.5", "-o", str(path), capsys=capsys)
+        args = ("analyze", str(path), "--method", "analytic", "--format", "json")
+        _, before, _ = run_cli(*args, capsys=capsys)
+        _, named, _ = run_cli(*args, "--measures", "d_ab", capsys=capsys)
+        _, after, _ = run_cli(*args, capsys=capsys)
+        assert [r["measure"] for r in json.loads(named)["records"]] == ["d_ab"]
+        assert after == before
+        assert len(json.loads(after)["records"]) == 7
+
     def test_byte_deterministic_output(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         run_cli("generate", "random-mixed", "--dims", "2x2", "--seed", "2", "-o", str(path), capsys=capsys)
@@ -447,6 +459,12 @@ class TestSweep:
         run_cli("sweep", "--steps", "51", "-o", str(b), capsys=capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unknown_family_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "werner_sweep", lambda *a: pytest.fail("swept"))
+        code, out, err = run_cli("sweep", "--family", "ghz", capsys=capsys)
+        assert code == 1 and out == ""
+        assert "invalid choice: 'ghz'" in err
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli("sweep", "--lo", "0.9", "--hi", "0.1", capsys=capsys)
         assert code == 2
@@ -487,6 +505,24 @@ class TestVerifyCommand:
         )
         assert code == 1 and out == ""
         assert "--fast" in err
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        codes = [run_cli("sweep", "--steps", "2", "-o", str(tmp_path / "s.csv")) for _ in range(2)]
+    finally:
+        cli.build_parser.cache_clear()  # the next call builds a parser of the real class
+    assert codes == [(0, "", "")] * 2
+    assert built.count("discoh") == 1
 
 
 def test_console_script_installed():

@@ -105,6 +105,8 @@ class TestContributions:
         want = contributions_loops(rho, u_a, u_b)
         for a, b in zip((got.class1, got.class2, got.class3, got.tilde_total, got.total), want):
             assert a == pytest.approx(b, abs=1e-11)
+        # no basis skips the rotation, and gives the identity rotation's bits
+        assert contributions(rho) == contributions(rho, identity_basis(*dims))
 
     @given(st.integers(0, 10**6))
     @settings(deadline=None, max_examples=20)

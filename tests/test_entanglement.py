@@ -152,6 +152,12 @@ class TestDecompositionBound:
         assert len(rhs_samples) == 64
         assert min(rhs_samples) + 1e-9 >= lhs
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    def test_rejects_wrong_dims(self, dims):
+        # the same error as every other two-qubit-only function
+        with pytest.raises(UnsupportedDimensionError, match=r"dims \(2, 2\)"):
+            corollary1_check(random_mixed(dims, 2, seed=1))
+
     @given(st.integers(0, 10**6))
     @settings(deadline=None, max_examples=10)
     def test_random_mixed_states(self, seed):
