@@ -152,6 +152,13 @@ class TestContributions:
         for name in ("class1", "class2", "tilde_total", "total"):
             assert getattr(base, name) == pytest.approx(getattr(permuted, name), abs=1e-11)
 
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 2), (3, 4), (4, 4)])
+    def test_no_basis_is_the_identity_rotation(self, dims):
+        # the hypothesis oracle above draws up to 3x3 only
+        for seed in range(5):
+            rho = random_mixed(dims, 1 + seed % (dims[0] * dims[1]), seed)
+            assert contributions(rho) == contributions(rho, identity_basis(*dims))
+
     def test_rejects_non_unitary_basis(self):
         with pytest.raises(UnitarityError):
             LocalBasisPair(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
@@ -703,3 +710,13 @@ def test_identity_basis_shapes():
     basis = identity_basis(2, 3)
     assert basis.u_a.shape == (2, 2)
     assert basis.u_b.shape == (3, 3)
+
+
+def test_minimize_batch_is_a_placeholder_of_its_own():
+    # the benchmark tracer patches every module attribute that is the object
+    # it wraps, so the placeholder must alias nothing else in the module
+    assert callable(coherence.minimize_batch)
+    others = [v for k, v in vars(coherence).items() if k != "minimize_batch"]
+    assert not any(v is coherence.minimize_batch for v in others)
+    with pytest.raises(DiscohError, match="no basis search runs the simplex"):
+        coherence.minimize_batch(lambda x: 0.0, np.zeros((1, 2)))
