@@ -19,11 +19,14 @@ runs every restart of every job on the same dims and objective as rows of
 one batch.  Every step computes each row on its own, so batching changes
 no row's path: a job's result is bit for bit the one it gives when
 searched alone.  One lockstep loop runs every batch; an iteration is one
-sweep on each searched side:
+step on each searched side, with the other side held:
 
-  one-sided (class1, class2)        a sweep on side A
+  one-sided (class1, class2)        a step on side A
   two-sided (tilde_total, total, class3)
-                                    a sweep on side A, then one on side B
+                                    a step on side A, then one on side B
+
+On two qubits a step turns the side's Bloch axis to its exact optimum;
+on other dims it is a sweep over the side's pairs of levels.
 
 class2 of a state is class1 of the state with its parties exchanged, so a
 class2 job is searched as a class1 job on the swapped state (the same
@@ -52,39 +55,51 @@ over its pair, so no step moves the objective the wrong way.  A sweep
 takes one Givens step on each of the m(m - 1)/2 pairs, and an evaluation
 is one Givens step.
 
-Two-sided.  With U_B held, the blocks A_jj' are those of
-(1 x U_B) rho (1 x U_B)^dag, and each two-sided family below is a constant
-less the diagonal mass of a stack of Hermitian matrices under U_A, so a
-side's sweep is the one-sided search's (_jacobi_sweep):
+Two qubits.  A qubit side has one pair of levels, so its sweep is one
+Givens step, and that step has a closed form in the Bloch data x, y, T of
+rho (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)).  Up to phases and
+order, side A's basis is its axis a, with U_A^dag sigma_z U_A = a . sigma,
+and with side B's axis b held every family is a constant less
+a^T M a / 4 for a real 3 x 3 matrix M of x, y, T and b (the table above
+_axis_side).  The step takes a to the top eigenvector of M for a minimum
+and the bottom one for a maximum (_axis_step): the optimum a Jacobi step
+on the rotated 4 x 4 matrices would take, without rotating them.  Side B's
+step is the same with x and y, T and T^t, a and b exchanged.  So every
+two-qubit search runs on the rows' axes, class3 included: an iteration is
+one step per searched side, an evaluation one step, and a row's value is
+the class sum of the basis built from its final axes.
+
+Two-sided, other dims.  With U_B held, the blocks A_jj' are those of
+(1 x U_B) rho (1 x U_B)^dag, and tilde_total and total are each a
+constant less the diagonal mass of a stack of Hermitian matrices under
+U_A, so a side's sweep is the one-sided search's (_jacobi_sweep):
 
   tilde_total     the n diagonal blocks A_jj
   total           the class1 stack above (class2 does not see U_A)
-  class3 (2 x 2)  P and Q of A_01 = P + i Q: class3 is 2|A_01|^2 less
-                  twice their diagonal mass
 
-class3 on other dims is no diagonal-mass problem: with U_B held it is
+class3 is no diagonal-mass problem: with U_B held it is
 sum_j sum_k |(U_A A_j,n-1-j U_A^dag)_k,m-1-k|^2.  A side's sweep then takes
 two line steps on each pair (p, q), along the real and the imaginary
 Givens curve (_line_sweep).  Along either curve the sum is a trigonometric
 polynomial of degree 4 in the angle, which five samples fix, and the step
 goes to its minimum.  The same holds for U_B on the party-swapped state.
 So no step moves the objective the wrong way; an evaluation is one Givens
-step, or one line step (two per pair) for class3 off two qubits.
+step, or one line step (two per pair) for class3.
 
-Each sweep starts from a stack rebuilt from the state rotated by the
-current unitaries.  The loop stops a row once _settled finds its objective
-settled: this iteration's move, and the tail that the ratio of its last
-two moves predicts, are both at most the tolerance.
+Off two qubits, each sweep starts from a stack rebuilt from the state
+rotated by the current unitaries.  The loop stops a row once _settled
+finds its objective settled: this iteration's move, and the tail that the
+ratio of its last two moves predicts, are both at most the tolerance.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
-from .states import DensityMatrix, _check_finite, _swap_parties, swap_subsystems
+from .states import DensityMatrix, _check_finite, _swap_parties, bloch_parts, swap_subsystems
 
 UNITARITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
@@ -207,15 +222,18 @@ class OptimizerConfig:
     resolved toward the lowest restart index).
 
     max_iterations caps each restart's iterations.  An iteration is one
-    sweep on each searched side: side A for class1 and class2 (class2 as
-    class1 of the swapped state), side A and then side B for tilde_total,
-    total and class3.  A restart stops once its objective has settled: its
-    last iteration moved it by at most objective_tolerance, and so does the
-    rest of the way as the ratio r of its last two moves predicts it
-    (move * r / (1 - r), r capped at RATIO_CAP).  Such a restart counts as
-    converged.  BasisOptimum.evaluations counts steps:
-    Givens steps, one per pair of levels in a sweep, or for class3 off two
-    qubits line steps, two per pair.
+    exact step on each searched side: side A for class1 and class2 (class2
+    as class1 of the swapped state), side A and then side B for
+    tilde_total, total and class3.  On two qubits a step turns the side's
+    Bloch axis to the optimum with the other side held; on other dims it
+    is a sweep over the side's pairs of levels.  A restart stops once its
+    objective has settled: its last iteration moved it by at most
+    objective_tolerance, and so does the rest of the way as the ratio r of
+    its last two moves predicts it (move * r / (1 - r), r capped at
+    RATIO_CAP).  Such a restart counts as converged.
+    BasisOptimum.evaluations counts steps: Givens steps, one per pair of
+    levels in a sweep, so one per side on two qubits, where the axis step is
+    the Givens step; or for class3 off two qubits line steps, two per pair.
     """
 
     restarts: int = 32
@@ -375,30 +393,11 @@ def _diagonal_blocks(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     return _blocks(mats, m, n)[:, diag, diag]
 
 
-def _anti_diagonal_parts(mats: np.ndarray, m: int, n: int) -> np.ndarray:
-    """P and Q of A_01 = P + i Q of each two-qubit rho, with
-    class3(U x 1) = 2 |A_01|^2 - 2 sum_{H = P, Q} sum_k (U H U^dag)_kk^2."""
-    a = _blocks(mats, m, n)[:, 0, 1]
-    a_dag = a.conj().swapaxes(-2, -1)
-    return np.stack((0.5 * (a + a_dag), -0.5j * (a - a_dag)), axis=1)
-
-
 def _anti_diagonal_blocks(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     """The n blocks A_j,n-1-j of each rho, with
     class3(U x 1) = sum_j sum_k |(U A_j,n-1-j U^dag)_k,m-1-k|^2."""
     j = np.arange(n)
     return _blocks(mats, m, n)[:, j, j[::-1]]
-
-
-# Per objective: the stack whose diagonal mass under U_A, with U_B held, the
-# objective is a constant less, and whether side B is searched too, on the
-# party-swapped state's stack.  class2 runs as class1 of the swapped state.
-_SEARCHES = {
-    "class1": (_hermitian_stack, False),
-    "total": (_hermitian_stack, True),  # class2 does not see side A
-    "tilde_total": (_diagonal_blocks, True),
-    "class3": (_anti_diagonal_parts, True),  # two qubits; line sweeps elsewhere
-}
 
 
 def _jacobi_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
@@ -549,6 +548,142 @@ def _line_sweep(x: np.ndarray, u: np.ndarray, top: np.ndarray) -> None:
     u[...] = ut.transpose(2, 0, 1)
 
 
+# Off two qubits, per objective: the stack that a side's sweep works on, the
+# sweep, and its steps per pair of levels.  With U_B held, class1, total and
+# tilde_total are a constant less the diagonal mass of the stack under U_A;
+# class3 is the anti-diagonal mass.  class2 runs as class1 of the swapped
+# state, and every objective but class1 searches side B too, on the
+# party-swapped state's stack.
+_SEARCHES = {
+    "class1": (_hermitian_stack, _jacobi_sweep, 1),
+    "total": (_hermitian_stack, _jacobi_sweep, 1),  # class2 does not see side A
+    "tilde_total": (_diagonal_blocks, _jacobi_sweep, 1),
+    "class3": (_anti_diagonal_blocks, _line_sweep, 2),
+}
+
+
+def _sweep_step(stack, sweep, two_sided, m, n, carry, top):
+    """One iteration of sweeps on the rows of carry = (U_A, U_B, rho, weights,
+    rotated rho); the unitaries change in place.  Returns the new carry and
+    each row's signed class sum."""
+    a, b, mats, w, r = carry
+    # C order: numpy's elementwise kernels round by memory layout, and a
+    # stack's layout would otherwise depend on how many rows it has
+    sweep(np.ascontiguousarray(stack(r, m, n)), a, top)
+    if two_sided:
+        swapped = _swap_parties(_rotate(a, b, mats), m, n)
+        sweep(np.ascontiguousarray(stack(swapped, n, m)), b, top)
+    r = _rotate(a, b, mats)
+    return (a, b, mats, w, r), _class_sums(r, w)
+
+
+# Two qubits.  A side's basis is fixed, up to phases and order, by the unit
+# axis a with U^dag sigma_z U = a . sigma, and with the other side's axis b
+# held every objective is (K - a^T M a - r) / 4 in the Bloch data x, y, T:
+#
+#   tilde_total   M = x x^T + (T b)(T b)^T   r = (y . b)^2
+#   total         M = x x^T + T T^T          r = (y . b)^2 + |T b|^2
+#   class1        M = x x^T + T T^T          r = 0
+#   class3        M = T T^T - (T b)(T b)^T   r = |T b|^2
+#
+# with K = |x|^2 + |y|^2 + |T|^2, |x|^2 + |y|^2 + 2 |T|^2, |x|^2 + |T|^2 and
+# |T|^2.  Side B is the same with y, x, T^t and a in place of x, y, T and b.
+
+
+def _dot(u, v):
+    """u . v of each row (rows, 3), added in index order."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+
+
+def _apply(t, v):
+    """t v of each row: t (rows, 3, 3), v (rows, 3)."""
+    return t[:, :, 0] * v[:, None, 0] + t[:, :, 1] * v[:, None, 1] + t[:, :, 2] * v[:, None, 2]
+
+
+def _outer(u, v):
+    return u[:, :, None] * v[:, None, :]
+
+
+def _gram(t):
+    """t t^T of each row."""
+    c0, c1, c2 = t[:, :, 0], t[:, :, 1], t[:, :, 2]
+    return _outer(c0, c0) + _outer(c1, c1) + _outer(c2, c2)
+
+
+def _axis_constant(objective, x, y, t):
+    """K of each row (the table above)."""
+    xx, yy, tt = _dot(x, x), _dot(y, y), (t * t).reshape(len(t), 9).sum(axis=1)
+    return {
+        "tilde_total": xx + yy + tt,
+        "total": xx + yy + 2.0 * tt,
+        "class1": xx + tt,
+        "class3": tt,
+    }[objective]
+
+
+def _axis_side(objective, x, y, t, b):
+    """M and r of side A, with side B's axes b held (the table above)."""
+    tb = _apply(t, b)
+    if objective == "tilde_total":
+        return _outer(x, x) + _outer(tb, tb), _dot(y, b) ** 2
+    if objective == "class3":
+        return _gram(t) - _outer(tb, tb), _dot(tb, tb)
+    gain = _outer(x, x) + _gram(t)
+    if objective == "class1":
+        return gain, 0.0
+    return gain, _dot(y, b) ** 2 + _dot(tb, tb)
+
+
+def _axis_turn(gain, r, axes, pick):
+    """Each row's new axis a, in place, and its a^T M a + r, M being gain.
+
+    The axis goes to the top eigenvector of M where pick is 2 (raising
+    a^T M a: a minimum of the objective) and to the bottom one where it is
+    0: the exact Givens optimum on a side of two levels.  Its sign is
+    eigh's, as a and -a only swap the side's two basis vectors.
+    """
+    rows = np.arange(len(gain))
+    w, v = np.linalg.eigh(gain)
+    axes[...] = v[rows, :, pick]
+    return w[rows, pick] + r
+
+
+def _axis_step(objective, two_sided, carry, top):
+    """One iteration on the rows of carry = (a, b, x, y, T, K): side A's axis
+    a, then side B's axis b, each the exact optimum with the other held.
+    Returns the carry and each row's signed class sum."""
+    a, b, x, y, t, k = carry
+    pick = np.where(top, 2, 0)  # eigh sorts ascending
+    f = _axis_turn(*_axis_side(objective, x, y, t, b), a, pick)
+    if two_sided:
+        f = _axis_turn(*_axis_side(objective, y, x, t.swapaxes(1, 2), a), b, pick)
+    value = 0.25 * (k - f)
+    return carry, np.where(top, value, -value)
+
+
+def _axes(u: np.ndarray) -> np.ndarray:
+    """The axis a of each qubit unitary (rows, 2, 2), with U^dag sigma_z U = a . sigma."""
+    u0, u1 = u[:, 0, 0], u[:, 0, 1]
+    p = u0 * u1.conj()
+    z = (u0.real * u0.real + u0.imag * u0.imag) - (u1.real * u1.real + u1.imag * u1.imag)
+    return np.stack((2.0 * p.real, 2.0 * p.imag, z), axis=1)
+
+
+def _axis_unitaries(axes: np.ndarray) -> np.ndarray:
+    """A qubit unitary U = [[conj(al), conj(be)], [-be, al]] per unit axis
+    (rows, 3), with (al, be) the +a eigenvector of a . sigma, so that
+    U^dag sigma_z U = a . sigma.  (al, be) is divided by the larger of
+    sqrt(2 (1 + a_z)) and sqrt(2 (1 - a_z)), so neither branch divides by
+    about zero."""
+    xy = axes[:, 0] + 1j * axes[:, 1]
+    z = axes[:, 2]
+    scale = np.sqrt(2.0 * (1.0 + np.abs(z)))
+    up = z >= 0.0
+    al = np.where(up, 0.5 * scale, xy.conj() / scale)
+    be = np.where(up, xy / scale, 0.5 * scale)
+    return np.stack((al.conj(), be.conj(), -be, al), axis=1).reshape(-1, 2, 2)
+
+
 # The slowest per-iteration contraction the stop rule's tail estimate assumes.
 RATIO_CAP = 0.99
 
@@ -570,21 +705,20 @@ def _settled(move: np.ndarray, last: np.ndarray, tol: float) -> np.ndarray:
 def _search_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
     """Every restart of every job in the group, as rows of one lockstep search.
 
-    The jobs share dims and objective.  An iteration is one sweep on side
-    A, on the stack of the state rotated by both current unitaries, and for
-    a two-sided objective then one on side B, on the stack of the
-    party-swapped state rotated by the new ones: Jacobi sweeps, or line
-    sweeps for class3 off two qubits.  Restart i starts from
-    unitaries_from_params of its seeded coefficients, side A's first; an
-    unsearched side B stays the identity.  A row stops once its class sum
-    has settled (converged), or after max_iterations iterations; its value
-    is the class sum of its final basis.
+    The jobs share dims and objective.  An iteration is one step on side A
+    and, for a two-sided objective, then one on side B with side A's new
+    basis held.  On two qubits a step turns the side's Bloch axis to the
+    exact optimum (_axis_step); elsewhere it is a sweep on the stack of the
+    state rotated by both current unitaries (_sweep_step): Jacobi sweeps,
+    or line sweeps for class3.  Restart i starts from unitaries_from_params
+    of its seeded coefficients, side A's first; an unsearched side B stays
+    the identity.  A row stops once its class sum has settled (converged),
+    or after max_iterations iterations; its value is the class sum of its
+    final basis.
     """
     m, n = dims
-    if jobs[0][1] == "class3" and dims != (2, 2):
-        stack, two_sided, sweep, steps = _anti_diagonal_blocks, True, _line_sweep, 2
-    else:
-        (stack, two_sided), sweep, steps = _SEARCHES[jobs[0][1]], _jacobi_sweep, 1
+    objective = jobs[0][1]
+    two_sided = objective != "class1"  # class2 runs as class1
     job = np.repeat(np.arange(len(jobs)), cfg.restarts)
     top = np.repeat([sense == MIN for _, _, sense in jobs], cfg.restarts)  # a minimum
     na = m * m - m
@@ -595,26 +729,30 @@ def _search_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
     else:
         ub = np.broadcast_to(np.eye(n, dtype=complex), (cfg.restarts, n, n))
     ua, ub = np.tile(ua, (len(jobs), 1, 1)), np.tile(ub, (len(jobs), 1, 1))
-    mats = np.stack([rho.mat for rho, _, _ in jobs])[job]
+    states = np.stack([rho.mat for rho, _, _ in jobs])
+    mats = states[job]
     weights = _weights(jobs, m, n)[job]
     rot = _rotate(ua, ub, mats)
     values = _class_sums(rot, weights)
+    qubits = dims == (2, 2)
+    if qubits:
+        x, y, t = (part[job] for part in bloch_parts(states))
+        sides = (_axes(ua), _axes(ub))
+        carry = (*sides, x, y, t, _axis_constant(objective, x, y, t))
+        step, steps = partial(_axis_step, objective, two_sided), 1
+    else:
+        stack, sweep, steps = _SEARCHES[objective]
+        sides, carry = (ua, ub), (ua, ub, mats, weights, rot)
+        step = partial(_sweep_step, stack, sweep, two_sided, m, n)
     iterations = np.zeros(len(job), dtype=np.int64)
     converged = np.full(len(job), m < 2 and (n < 2 or not two_sided))  # nothing to rotate
     # The rows still running, compacted; a row is written back once it stops.
     live = np.flatnonzero(~converged)
-    full = (ua, ub, mats, top, weights, rot, values, np.full(len(job), np.inf))
-    a, b, rows, t, w, r, v, last = (x[live] for x in full)
+    carry = tuple(part[live] for part in carry)
+    t, v, last = top[live], values[live], np.full(live.size, np.inf)
     count = 0
     while live.size:
-        # C order: numpy's elementwise kernels round by memory layout, and a
-        # stack's layout would otherwise depend on how many rows it has
-        sweep(np.ascontiguousarray(stack(r, m, n)), a, t)
-        if two_sided:
-            swapped = _swap_parties(_rotate(a, b, rows), m, n)
-            sweep(np.ascontiguousarray(stack(swapped, n, m)), b, t)
-        r = _rotate(a, b, rows)
-        moved = _class_sums(r, w)
+        carry, moved = step(carry, t)
         move = np.abs(moved - v)
         settled = _settled(move, last, cfg.objective_tolerance)
         v, last = moved, move
@@ -622,12 +760,14 @@ def _search_group(jobs, dims, cfg: OptimizerConfig) -> list[BasisOptimum]:
         stop = settled | (count >= cfg.max_iterations)
         if stop.any():
             done = live[stop]
-            ua[done], ub[done], values[done] = a[stop], b[stop], v[stop]
+            sides[0][done], sides[1][done], values[done] = carry[0][stop], carry[1][stop], v[stop]
             converged[done], iterations[done] = settled[stop], count
             keep = ~stop
-            live, a, b, rows, t, w, r, v, last = (
-                x[keep] for x in (live, a, b, rows, t, w, r, v, last)
-            )
+            carry = tuple(part[keep] for part in carry)
+            live, t, v, last = (part[keep] for part in (live, t, v, last))
+    if qubits:  # the class sums of the final bases, as the start's were taken
+        ua, ub = _axis_unitaries(sides[0]), _axis_unitaries(sides[1])
+        values = _class_sums(_rotate(ua, ub, mats), weights)
     pairs = m * (m - 1) // 2 + (n * (n - 1) // 2 if two_sided else 0)
     return _optima(
         jobs,

@@ -138,16 +138,31 @@ class BlochRep:
         object.__setattr__(self, "T", T)
 
 
+def _pauli_components(mats: np.ndarray) -> np.ndarray:
+    """tr[rho P] of each two-qubit matrix (N, 4, 4), for P over x, y and T row by row."""
+    return np.einsum("nab,kba->nk", mats, _BLOCH)
+
+
+def _split_components(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return comps[:, :3], comps[:, 3:6], comps[:, 6:].reshape(-1, 3, 3)
+
+
+def bloch_parts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x (N, 3), y (N, 3) and T (N, 3, 3) of a stack of two-qubit matrices,
+    unchecked: the real parts of the Pauli components, which are those of
+    each matrix's Hermitian part."""
+    return _split_components(_pauli_components(mats).real)
+
+
 def bloch_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pauli components of a stack of two-qubit matrices (N, 4, 4).
 
     Returns x, y of shape (N, 3) and T of shape (N, 3, 3), checked as
     BlochRep checks them; the first state that fails raises.
     """
-    comps = np.einsum("nab,kba->nk", mats, _BLOCH)
+    comps = _pauli_components(mats)
     worst = np.abs(comps.imag).max(axis=1)
-    comps = comps.real
-    x, y, t = comps[:, :3], comps[:, 3:6], comps[:, 6:].reshape(-1, 3, 3)
+    x, y, t = _split_components(comps.real)
     too_long = np.maximum(row_dots(x), row_dots(y)) > 1.0 + 1e-9
     bad = np.flatnonzero((worst > 1e-10) | too_long)
     if bad.size:

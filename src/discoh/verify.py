@@ -26,7 +26,7 @@ from .measures import Evaluation, records
 from .states import (
     DensityMatrix,
     PureState,
-    bloch_decompose,
+    bloch_parts,
     make_werner,
     random_classical,
     random_mixed,
@@ -162,7 +162,7 @@ def _pure_discord_deviation(psi, values) -> float:
 
 
 def _sum_rule_deviation(rho, values) -> float:
-    t = bloch_decompose(rho).T
+    _, _, t = bloch_parts(rho.mat[None])  # unchecked: records has checked this state
     return abs((values["v", ANALYTIC] + values["v_tilde", ANALYTIC]) * 4.0 - float(np.sum(t * t)))
 
 

@@ -1,6 +1,9 @@
 """Coherence accounting tests: fixed-basis sums, rotations, basis search."""
 
+import json
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +27,19 @@ from discoh.coherence import (
 )
 from discoh import coherence
 from discoh.coherence import _anti_diagonal_blocks, _groups, _line_sweep, _rotate, _settled
-from discoh.errors import ConsistencyError, DiscohError, ShapeError, UnitarityError
+from discoh.errors import (
+    ConsistencyError,
+    DiscohError,
+    HermiticityError,
+    ShapeError,
+    UnitarityError,
+)
 from discoh.nonlocality import direction_basis, v_measures_analytic
 from discoh.states import (
     DensityMatrix,
     PureState,
     _swap_parties,
+    bloch_stack,
     make_bell,
     make_werner,
     random_mixed,
@@ -251,6 +261,34 @@ class TestUnitaryParameterization:
             assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
 
 
+def basis_state(k):
+    amp = np.zeros(4, dtype=complex)
+    amp[k] = 1.0
+    return PureState((2, 2), amp).to_density()
+
+
+# Two-qubit states whose searches are pinned below: |11> turns axes to -z.
+QUBIT_STATES = {
+    "maximally-mixed": DensityMatrix((2, 2), np.eye(4) / 4),
+    "00": basis_state(0),
+    "11": basis_state(3),
+    "phi+": make_bell("phi+").to_density(),
+    "singlet": make_bell("psi-").to_density(),
+    "werner-0": make_werner(0.0),
+    "werner-0.6": make_werner(0.6),
+    **{
+        f"rank{rank}-seed{seed}": random_mixed((2, 2), rank, seed + 10 * rank)
+        for rank in (1, 2, 3, 4)
+        for seed in (410, 411)
+    },
+}
+
+# QUBIT_STATES[name][objective][sense] searched at the default config by the
+# two-qubit search that rotated 4 x 4 matrices and ran Jacobi sweeps on them
+# (commit bfd4626): value, iterations, evaluations, converged, restarts_at_best.
+RECORDED = json.loads((Path(__file__).parent / "data" / "two_qubit_search.json").read_text())
+
+
 class TestBasisSearch:
     def test_product_state_class1_vanishes(self):
         rho = product_plus_state()
@@ -286,6 +324,36 @@ class TestBasisSearch:
             assert opt.objective == objective
             here = getattr(contributions(rho, opt.basis), objective)
             assert here == pytest.approx(opt.value, abs=1e-12), (rho.dims, objective, sense)
+
+    @pytest.mark.parametrize("name", sorted(QUBIT_STATES))
+    def test_two_qubit_optima_are_attained_and_as_recorded(self, name):
+        # the axis steps take the same exact optimum per side as Jacobi sweeps
+        # on the rotated matrices did, so values and counts stay as recorded
+        rho = QUBIT_STATES[name]
+        jobs = [(rho, objective, sense) for objective in OBJECTIVES for sense in (MIN, MAX)]
+        for (_, objective, sense), opt in zip(jobs, search_bases(jobs)):
+            value, iterations, evaluations, converged, at_best = RECORDED[name][objective][sense]
+            where = (name, objective, sense)
+            here = getattr(contributions(rho, opt.basis), objective)
+            assert here == pytest.approx(opt.value, abs=1e-12), where
+            assert opt.value == pytest.approx(value, abs=1e-12), where
+            counts = (opt.iterations, opt.evaluations, opt.converged, opt.restarts_at_best)
+            assert counts == (iterations, evaluations, converged, at_best), where
+
+    def test_a_state_with_a_tolerated_hermiticity_defect_is_searched(self):
+        # DensityMatrix tolerates |m - m^dag| up to 1e-10, bloch_stack an
+        # imaginary Bloch part up to 1e-10: 0.45e-10 i on the four anti-diagonal
+        # entries passes the first (0.9e-10) but not the second (1.8e-10 in T_xx)
+        mat = make_werner(0.5).mat.copy()
+        mat[[0, 1, 2, 3], [3, 2, 1, 0]] += 0.45e-10j
+        rho = DensityMatrix((2, 2), mat)
+        with pytest.raises(HermiticityError, match="imaginary part 1.8"):
+            bloch_stack(mat[None])
+        senses = [(objective, sense) for objective in OBJECTIVES for sense in (MIN, MAX)]
+        found = search_bases([(rho, objective, sense) for objective, sense in senses], FAST)
+        clean = search_bases([(make_werner(0.5), o, s) for o, s in senses], FAST)
+        for got, want in zip(found, clean):
+            assert got.value == pytest.approx(want.value, abs=1e-9), got.objective
 
     def test_every_restart_reaches_werner_optimum(self):
         # the Werner class sums are the same along every local direction
@@ -580,6 +648,92 @@ class TestExactTwoSidedOptima:
             jobs = [(rho, objective, MIN) for objective in ("class1", "class2", "tilde_total")]
             d_ab, d_ba, d_tilde = (opt.value for opt in search_bases(jobs))
             assert max(d_ab, d_ba) - 1e-12 <= d_tilde <= d_ab + d_ba + 1e-12, (dims, seed)
+
+
+def fibonacci_sphere(count):
+    """count nearly evenly spread unit vectors, on a golden-angle spiral."""
+    k = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * k / count
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    return np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=1)
+
+
+def pauli_data(rho):
+    """x, y and T of a two-qubit state, each tr[rho P] taken on its own."""
+    one = np.eye(2)
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+    def part(op):
+        return float(np.trace(rho.mat @ op).real)
+
+    x = np.array([part(np.kron(s, one)) for s in sigma])
+    y = np.array([part(np.kron(one, s)) for s in sigma])
+    t = np.array([[part(np.kron(s, r)) for r in sigma] for s in sigma])
+    return x, y, t
+
+
+def tilde_total_along(a, x, y, t):
+    """min over side B of tilde_total with side A measuring along each row of a:
+    (|x|^2 + |y|^2 + |T|^2 - (x.a)^2 - max_b [(y.b)^2 + (a^T T b)^2]) / 4, the
+    max being the top eigenvalue of the Gram matrix of y and T^T a."""
+    w = a @ t
+    yy, ww, yw = y @ y, np.sum(w * w, axis=1), w @ y
+    top = 0.5 * (yy + ww) + np.sqrt(0.25 * (yy - ww) ** 2 + yw * yw)
+    return 0.25 * (x @ x + yy + np.sum(t * t) - (a @ x) ** 2 - top)
+
+
+def refine_on_sphere(f, a, step=0.05, floor=1e-10):
+    """Compass search for a local minimum of f from each row of a: try a step
+    each way along two tangent directions, move to the best if it is lower,
+    and halve the row's step when none is."""
+    a = a.copy()
+    here = f(a)
+    step = np.full(len(a), step)
+    while (step > floor).any():
+        ref = np.where(np.abs(a[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+        e1 = np.cross(a, ref)
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        e2 = np.cross(a, e1)
+        tries = [a + sign * step[:, None] * e for e in (e1, e2) for sign in (1.0, -1.0)]
+        tries = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in tries]
+        values = np.stack([f(b) for b in tries])
+        best = np.argmin(values, axis=0)
+        lower = values[best, np.arange(len(a))] < here
+        a[lower] = np.stack(tries)[best, np.arange(len(a))][lower]
+        here = np.where(lower, values[best, np.arange(len(a))], here)
+        step = np.where(lower, step, 0.5 * step)
+    return here
+
+
+def test_qubit_axes_and_unitaries_correspond():
+    # U^dag sigma_z U = a . sigma both ways, on random axes and the six
+    # coordinate axes, -z being where the +z form of the map divides by 0
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    axes = np.random.default_rng(7).normal(size=(40, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    axes = np.concatenate((axes, np.eye(3), -np.eye(3)))
+    unitaries = coherence._axis_unitaries(axes)
+    for a, u in zip(axes, unitaries):
+        assert np.allclose(u.conj().T @ u, np.eye(2), rtol=0.0, atol=1e-15), a
+        measured = u.conj().T @ sigma[2] @ u
+        assert np.allclose(measured, sum(c * s for c, s in zip(a, sigma)), rtol=0.0, atol=1e-15), a
+    assert np.allclose(coherence._axes(unitaries), axes, rtol=0.0, atol=1e-15)
+
+
+def test_two_qubit_tilde_total_minimum_matches_a_sphere_grid():
+    # d_tilde = min over side A's axis a of a closed form: the search's
+    # minimum is at most that of a 20000-point grid of axes, and meets the
+    # best grid points once a compass search has polished them
+    grid = fibonacci_sphere(20000)
+    states = [random_mixed((2, 2), 1 + k % 4, 360 + k) for k in range(20)]
+    optima = search_bases([(rho, "tilde_total", MIN) for rho in states])
+    for k, (rho, opt) in enumerate(zip(states, optima)):
+        f = partial(tilde_total_along, **dict(zip("xyt", pauli_data(rho))))
+        on_grid = f(grid)
+        best = grid[np.argsort(on_grid)[:8]]
+        assert opt.value <= on_grid.min() + 1e-12, k
+        assert opt.value == pytest.approx(refine_on_sphere(f, best).min(), abs=1e-8), k
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
