@@ -659,17 +659,19 @@ def fibonacci_sphere(count):
     return np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=1)
 
 
+SIGMA = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+
+
 def pauli_data(rho):
     """x, y and T of a two-qubit state, each tr[rho P] taken on its own."""
     one = np.eye(2)
-    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
 
     def part(op):
         return float(np.trace(rho.mat @ op).real)
 
-    x = np.array([part(np.kron(s, one)) for s in sigma])
-    y = np.array([part(np.kron(one, s)) for s in sigma])
-    t = np.array([[part(np.kron(s, r)) for r in sigma] for s in sigma])
+    x = np.array([part(np.kron(s, one)) for s in SIGMA])
+    y = np.array([part(np.kron(one, s)) for s in SIGMA])
+    t = np.array([[part(np.kron(s, r)) for r in SIGMA] for s in SIGMA])
     return x, y, t
 
 
@@ -709,15 +711,14 @@ def refine_on_sphere(f, a, step=0.05, floor=1e-10):
 def test_qubit_axes_and_unitaries_correspond():
     # U^dag sigma_z U = a . sigma both ways, on random axes and the six
     # coordinate axes, -z being where the +z form of the map divides by 0
-    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     axes = np.random.default_rng(7).normal(size=(40, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     axes = np.concatenate((axes, np.eye(3), -np.eye(3)))
     unitaries = coherence._axis_unitaries(axes)
     for a, u in zip(axes, unitaries):
         assert np.allclose(u.conj().T @ u, np.eye(2), rtol=0.0, atol=1e-15), a
-        measured = u.conj().T @ sigma[2] @ u
-        assert np.allclose(measured, sum(c * s for c, s in zip(a, sigma)), rtol=0.0, atol=1e-15), a
+        measured = u.conj().T @ SIGMA[2] @ u
+        assert np.allclose(measured, sum(c * s for c, s in zip(a, SIGMA)), rtol=0.0, atol=1e-15), a
     assert np.allclose(coherence._axes(unitaries), axes, rtol=0.0, atol=1e-15)
 
 
